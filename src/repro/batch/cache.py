@@ -21,14 +21,14 @@ Environment knobs (the escape hatches):
 Every filesystem touch is wrapped: a read-only HOME, a corrupt record,
 or a concurrent writer degrade to cache misses, never to run failures.
 
-The store is explicitly **multi-writer safe**: the sweep fleet points
-many worker processes at one root.  Writes go through a temp file plus
-atomic ``os.replace`` (a reader sees the old record or the new one,
-never a torn one), the pruning walk tolerates records and whole fan-out
-directories deleted mid-scan by a concurrent pruner, and an eviction is
-only counted by the process whose ``unlink`` actually removed the file —
-two caches pruning the same root cannot double-count one eviction
-between them.
+The store is explicitly **multi-writer safe**: the batch pool and the
+serve daemon point many worker processes at one root.  Writes go
+through a temp file plus atomic ``os.replace`` (a reader sees the old
+record or the new one, never a torn one), the pruning walk tolerates
+records and whole fan-out directories deleted mid-scan by a concurrent
+pruner, and an eviction is only counted by the process whose ``unlink``
+actually removed the file — two caches pruning the same root cannot
+double-count one eviction between them.
 
 The disk store is the second of two tiers: content addresses make
 records immutable-by-key, so each process also keeps a small decoded

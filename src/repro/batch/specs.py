@@ -45,7 +45,6 @@ __all__ = [
     "figure_suite_specs",
     "key_for_config",
     "patternlet_source",
-    "plan_shards",
     "spec_key",
     "sweep_fingerprint",
 ]
@@ -260,49 +259,15 @@ def spec_key(spec: RunSpec) -> str | None:
 def sweep_fingerprint(specs: Iterable[RunSpec]) -> str:
     """Short stable digest of a grid's identity (its labels, in order).
 
-    The telemetry plane builds ``sweep_id`` from this: two submissions of
-    the same grid share the fingerprint, and the coordinator adds a pid +
-    sequence suffix to keep concurrent sweeps distinguishable.
+    The serve daemon stores a ``/sweep`` request's per-cell report under
+    this key (``GET /report/<key>``): two submissions of the same grid
+    share it.
     """
     h = hashlib.sha256()
     for spec in specs:
         h.update(spec.label().encode())
         h.update(b"\0")
     return h.hexdigest()[:12]
-
-
-# -- shard planning (the fleet's unit of work) --------------------------------
-
-
-def plan_shards(
-    n_items: int, workers: int, *, overshard: int = 2
-) -> list[list[int]]:
-    """Split ``range(n_items)`` into balanced contiguous index shards.
-
-    The sweep fleet hands whole shards to worker processes, so the shard
-    count trades messaging overhead against load balance: one shard per
-    worker minimises file traffic but lets a single slow cell strand a
-    worker's whole allotment, while per-cell jobs drown the messenger in
-    tiny files.  ``workers * overshard`` shards (capped at one cell per
-    shard) is the classic middle ground — pull-based claiming soaks up
-    most imbalance, and the coordinator's work-stealing pass handles the
-    residue inside a straggling shard.
-
-    Every index appears in exactly one shard, shards are contiguous (so a
-    shard's cells share warm patternlet sources), and sizes differ by at
-    most one.
-    """
-    if n_items <= 0:
-        return []
-    shard_count = max(1, min(n_items, max(1, workers) * max(1, overshard)))
-    base, rem = divmod(n_items, shard_count)
-    out: list[list[int]] = []
-    start = 0
-    for i in range(shard_count):
-        size = base + (1 if i < rem else 0)
-        out.append(list(range(start, start + size)))
-        start += size
-    return out
 
 
 # -- the deterministic figure-suite grid --------------------------------------

@@ -7,11 +7,7 @@ Two populations of the same registry vocabulary:
 - :mod:`repro.obs.derive` — a pure post-hoc pass over any trace, so
   cache-served and pickled runs yield byte-identical metrics.
 
-Plus :mod:`repro.obs.report`, the self-contained HTML run report;
-:mod:`repro.obs.telemetry`, the fleet telemetry plane (span contexts,
-worker journals, the live OpenMetrics scrape server); and
-:mod:`repro.obs.fleet_report`, the fleet dashboard rendered from an
-exported telemetry directory.
+Plus :mod:`repro.obs.report`, the self-contained HTML run report.
 """
 
 from repro.obs.derive import (
@@ -21,57 +17,29 @@ from repro.obs.derive import (
     run_metrics,
     run_summary,
 )
-from repro.obs.fleet_report import render_fleet_report, write_fleet_report
 from repro.obs.live import Probe, probing
 from repro.obs.registry import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_registries,
     parse_openmetrics,
 )
 from repro.obs.report import render_report, write_report
-from repro.obs.telemetry import (
-    MetricsServer,
-    SpanContext,
-    WorkerJournal,
-    current_context,
-    fleet_registry,
-    load_export,
-    merge_journals,
-    read_journals,
-    serve_metrics,
-    span_context,
-    write_export,
-)
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
     "Probe",
-    "SpanContext",
-    "WorkerJournal",
     "blocked_intervals",
-    "current_context",
     "derive_metrics",
-    "fleet_registry",
-    "load_export",
-    "merge_journals",
-    "merge_registries",
     "metrics_dict",
     "parse_openmetrics",
     "probing",
-    "read_journals",
-    "render_fleet_report",
     "render_report",
     "run_metrics",
     "run_summary",
-    "serve_metrics",
-    "span_context",
-    "write_export",
     "write_report",
 ]

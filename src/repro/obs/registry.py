@@ -36,7 +36,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_registries",
     "parse_openmetrics",
 ]
 
@@ -360,59 +359,6 @@ class MetricsRegistry:
             "engine": dict(sorted(self.info.items())),
             "families": families,
         }
-
-
-def merge_registries(*registries: MetricsRegistry) -> MetricsRegistry:
-    """Fold many registries into one, deterministically.
-
-    Counters sum (exemplars stay first-wins in argument order), gauges
-    are last-writer-wins per label set, histograms merge bucket-wise
-    (bounds must match), and ``info`` labels are later-wins.  Because
-    the merge is order-insensitive for everything except ties that the
-    caller already ordered, merging the same inputs always yields the
-    same export bytes — the property the fleet scrape endpoint leans on.
-    """
-    if not registries:
-        return MetricsRegistry()
-    out = MetricsRegistry(prefix=registries[0].prefix)
-    for reg in registries:
-        if reg.prefix != out.prefix:
-            raise ValueError(
-                f"cannot merge prefixes {out.prefix!r} and {reg.prefix!r}"
-            )
-        out.info.update(reg.info)
-        for fam in reg.families():
-            if isinstance(fam, Histogram):
-                merged = out.histogram(
-                    fam.name, fam.help, buckets=fam.bounds, unit=fam.unit
-                )
-                if merged.bounds != fam.bounds:
-                    raise ValueError(
-                        f"histogram {fam.name!r}: bucket bounds differ"
-                    )
-                for key, (counts, total, n) in fam.samples.items():
-                    have = merged.samples.get(key)
-                    if have is None:
-                        merged.samples[key] = (list(counts), total, n)
-                    else:
-                        hc, ht, hn = have
-                        merged.samples[key] = (
-                            [a + b for a, b in zip(hc, counts)],
-                            ht + total,
-                            hn + n,
-                        )
-                continue
-            if isinstance(fam, Counter):
-                merged = out.counter(fam.name, fam.help, fam.unit)
-                for key, value in fam.samples.items():
-                    merged.samples[key] = merged.samples.get(key, 0.0) + value
-                for key, ex in fam.exemplars.items():
-                    merged.exemplars.setdefault(key, ex)
-                continue
-            merged = out.gauge(fam.name, fam.help, fam.unit)
-            for key, value in fam.samples.items():
-                merged.samples[key] = value
-    return out
 
 
 # -- the OpenMetrics reader ---------------------------------------------------

@@ -38,7 +38,7 @@ Executions run off the event loop: on a single dedicated thread when
 is process-ambient and must never see two concurrent runs in one
 process), or on the batch layer's persistent fork pool
 (:func:`repro.batch.pool.submit_one`) when ``workers > 1`` — the same
-warm worker processes, run cache and wire codecs the sweep fleet uses.
+warm worker processes and run cache ``patternlet sweep`` uses.
 """
 
 from __future__ import annotations
@@ -115,11 +115,6 @@ class ServeConfig:
     cache_dir: str | None = None
     #: Grid cells a single /sweep request may expand to (413 beyond).
     max_cells: int = 256
-    #: Fleet workers for large /sweep grids (None = never use the fleet).
-    fleet: int | None = None
-    #: Journal/export directory for fleet-routed sweeps; folded into
-    #: /metrics when present.
-    telemetry_dir: str | None = None
     #: Seconds shutdown waits for in-flight executions before forcing.
     drain_timeout_s: float = 10.0
     #: Keep-alive idle timeout per connection, seconds.
@@ -386,19 +381,8 @@ class PatternletService:
             unit="ms")
 
     def render_metrics(self) -> str:
-        """One strict-OpenMetrics scrape: serve counters, plus the fleet
-        telemetry fold when fleet sweeps have journalled anywhere."""
-        reg = self.registry
-        if self.cfg.telemetry_dir is not None:
-            import os.path
-
-            from repro.obs.registry import merge_registries
-            from repro.obs.telemetry import fleet_registry
-
-            if os.path.isdir(self.cfg.telemetry_dir):
-                reg = merge_registries(reg, fleet_registry(self.cfg.telemetry_dir))
-                reg.info.update(self.registry.info)
-        return reg.to_openmetrics()
+        """One strict-OpenMetrics scrape of the serve registry."""
+        return self.registry.to_openmetrics()
 
     def observe(self, endpoint: str, status: int, ms: float) -> None:
         """Record one finished HTTP exchange (called by the HTTP layer)."""
@@ -592,17 +576,9 @@ class PatternletService:
     async def serve_sweep(self, specs: list[RunSpec]) -> tuple[int, bytes]:
         """Run a validated grid; returns the summary (and stores the report).
 
-        Small grids go cell-by-cell through :meth:`serve_run`, so
-        identical cells coalesce with each other *and* with concurrent
-        ``/run`` traffic.  Grids past the fleet amortisation threshold
-        (when the daemon was started with ``fleet=N``) route to the
-        sharded sweep fleet instead — one bounded submission, counted as
-        a single execution slot.
+        Every cell goes through :meth:`serve_run`, so identical cells
+        coalesce with each other *and* with concurrent ``/run`` traffic.
         """
-        from repro.batch.fleet import FLEET_AMORTISE_CELLS
-
-        if self.cfg.fleet and len(specs) >= self.cfg.fleet * FLEET_AMORTISE_CELLS:
-            return await self._sweep_fleet(specs)
         t0 = time.monotonic()
         results = await asyncio.gather(
             *(self.serve_run(spec) for spec in specs), return_exceptions=True)
@@ -642,54 +618,6 @@ class PatternletService:
         summary.pop("cells")
         summary["distinct_cells"] = len({spec_key(s) for s in specs})
         return (200 if errors == 0 else 500), _dumps(summary)
-
-    async def _sweep_fleet(self, specs: list[RunSpec]) -> tuple[int, bytes]:
-        from repro.batch.fleet import FleetError, run_specs_fleet
-
-        loop = asyncio.get_running_loop()
-
-        def _run() -> Any:
-            return run_specs_fleet(
-                specs,
-                workers=self.cfg.fleet,
-                use_cache=self._use_cache,
-                cache_dir=self.cfg.cache_dir,
-                telemetry_dir=self.cfg.telemetry_dir,
-            )
-
-        try:
-            # The fleet owns its worker processes; it occupies one slot
-            # of the daemon's admission capacity, not one per cell.
-            async with self._sem:
-                batch = await loop.run_in_executor(None, _run)
-        except FleetError as exc:
-            raise RequestError(f"fleet sweep failed: {exc}", status=503)
-        report_key = sweep_fingerprint(specs)
-        report = {
-            "report": report_key,
-            "cells": [{
-                "label": o.spec.label(),
-                "key": o.key,
-                "served": "fleet",
-                "races": o.races,
-                "span": o.span,
-                "error": o.error,
-            } for o in batch.outcomes],
-            "runs": batch.runs,
-            "errors": len(batch.errors),
-            "wall_s": round(batch.wall_s, 4),
-            "fleet": batch.fleet,
-            "engine": {"version": __version__,
-                       "fingerprint": engine_fingerprint()},
-        }
-        self._store_report(report_key, report)
-        self.c_executions.inc(amount=batch.executed)
-        self.c_cache_hits.inc(amount=batch.hits)
-        self.c_cache_misses.inc(amount=batch.executed)
-        summary = dict(report)
-        summary.pop("cells")
-        summary["hit_rate"] = round(batch.hit_rate, 4)
-        return (200 if not batch.errors else 500), _dumps(summary)
 
     # -- payload construction ------------------------------------------------
 

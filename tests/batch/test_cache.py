@@ -1,4 +1,4 @@
-"""The run cache: hit semantics, escape hatches, LRU bounds, degradation."""
+"""The run cache: hit semantics, escape hatches, LRU bounds, degradation, wire codecs."""
 
 from __future__ import annotations
 
@@ -8,9 +8,18 @@ import pytest
 
 import repro.core.registry as registry
 from repro.batch.cache import RunCache, cache_enabled, caching_runs, default_cache_dir
-from repro.batch.results import _memo_clear, run_to_record
+from repro.batch.pool import run_specs
+from repro.batch.results import (
+    _memo_clear,
+    outcome_from_wire,
+    outcome_to_wire,
+    run_to_record,
+    spec_from_wire,
+    spec_to_wire,
+)
 from repro.batch.specs import RunSpec, spec_key
 from repro.core.registry import run_patternlet
+from repro.errors import CacheUnserializable
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +93,46 @@ class TestServedRunsAreWhole:
         assert [e.seq for e in served.trace.events()] == [
             e.seq for e in live.trace.events()
         ]
+
+
+class TestWireCodecs:
+    """Specs and outcomes as plain JSON: what the serve daemon's worker
+    lanes send instead of pickles, under the cache-record codec."""
+
+    def test_spec_round_trip(self):
+        spec = RunSpec.make(
+            "mpi.reduction",
+            tasks=6,
+            toggles={"barrier": True},
+            seed=3,
+            policy="fifo",
+            topology="ring",
+            network="hetero2",
+        )
+        assert spec_from_wire(spec_to_wire(spec)) == spec
+
+    def test_wire_is_json_safe(self):
+        spec = RunSpec.make("openmp.spmd", tasks=2, seed=1)
+        again = json.loads(json.dumps(spec_to_wire(spec)))
+        assert spec_from_wire(again) == spec
+
+    def test_unserializable_extra_raises(self):
+        spec = RunSpec.make("openmp.spmd", probe=object())
+        with pytest.raises(CacheUnserializable):
+            spec_to_wire(spec)
+
+    def test_outcome_round_trip_preserves_the_fingerprint(self):
+        specs = [RunSpec.make("openmp.spmd", tasks=3, seed=s) for s in range(2)]
+        report = run_specs(specs, max_workers=1, use_cache=False)
+        for outcome in report.outcomes:
+            back = outcome_from_wire(outcome_to_wire(outcome))
+            assert (back.text, back.span, back.races) == (
+                outcome.text,
+                outcome.span,
+                outcome.races,
+            )
+            assert back.spec == outcome.spec
+            assert back.metrics == outcome.metrics
 
 
 class TestEscapeHatches:
@@ -187,7 +236,7 @@ class TestStore:
 # import them.  Each hammers one shared cache root with an interleaved
 # put/get/prune stream: every key is content-shaped (sha256 hex) but
 # drawn from a small universe, so processes constantly collide on the
-# same record files — the fleet's actual access pattern, concentrated.
+# same record files — the pool workers' access pattern, concentrated.
 
 _KEY_UNIVERSE = 24
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
 import repro.batch.pool as pool_mod
 from repro.batch.pool import default_workers, map_calls, run_specs, shutdown_pool
-from repro.batch.specs import RunSpec
+from repro.batch.specs import RunSpec, figure_suite_specs
 from repro.trace import muted, pop_recorder, push_recorder
 from repro.trace.events import TraceRecorder, emit
 
@@ -21,6 +26,25 @@ def pool_hygiene():
 def _double(x):
     """Module-level so the pool can pickle it by reference."""
     return x * 2
+
+
+#: The kill order for :func:`_exec_or_die`: the marked spec, the flag
+#: file that claims the one kill, and the parent's pid.  Set before the
+#: pool forks, so every worker inherits it.
+_DIE: dict = {}
+
+
+def _exec_or_die(spec):
+    """``_exec_spec``, except the worker that picks up the marked spec is
+    SIGKILLed — once, and never in the parent (the serial rerun)."""
+    if spec == _DIE.get("spec") and os.getpid() != _DIE["parent"]:
+        try:
+            os.close(os.open(_DIE["flag"], os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return pool_mod._exec_spec(spec)
 
 
 def _run_and_count(spec_seed):
@@ -109,6 +133,44 @@ class TestFallback:
             _double, [1, 2, 3], max_workers=4, use_cache=False
         )
         assert results == [2, 4, 6] and workers == 1 and not pooled
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers must inherit the kill order by fork",
+    )
+    def test_worker_killed_mid_batch_reruns_serially(self, tmp_path, monkeypatch):
+        def fingerprint(outcomes):
+            return [(o.text, o.races, o.span, o.error) for o in outcomes]
+
+        specs = figure_suite_specs(seeds=range(2))
+        serial = run_specs(specs, max_workers=1, use_cache=False).outcomes
+        flag = tmp_path / "killed"
+        monkeypatch.setitem(_DIE, "spec", specs[len(specs) // 2])
+        monkeypatch.setitem(_DIE, "flag", str(flag))
+        monkeypatch.setitem(_DIE, "parent", os.getpid())
+        shutdown_pool()
+        before = {p.pid for p in multiprocessing.active_children()}
+
+        outcomes, workers, pooled = map_calls(
+            _exec_or_die, specs, max_workers=2, use_cache=False
+        )
+        assert flag.exists(), "no worker picked up the marked spec"
+        assert not pooled and workers == 1
+        assert fingerprint(outcomes) == fingerprint(serial)
+
+        report = run_specs(specs, max_workers=2, use_cache=False)
+        assert report.pooled and report.workers == 2
+        assert fingerprint(report.outcomes) == fingerprint(serial)
+
+        shutdown_pool()
+        deadline = time.monotonic() + 30.0
+        while True:
+            alive = [p for p in multiprocessing.active_children()
+                     if p.pid not in before]
+            if not alive or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert alive == [], f"leaked worker processes: {alive}"
 
 
 class TestMutedReentrancy:
