@@ -13,8 +13,9 @@ already seen:
   (``~/.cache/repro-runs``) and the ``run_patternlet`` interceptor that
   serves it; multi-writer safe, so many processes share one root;
 - :mod:`repro.batch.results` — byte-faithful run records (full event
-  trace, span, race verdict), the spec/outcome wire codecs the serve
-  daemon's worker lanes use, and batch summaries;
+  trace, span, and the text, summary and race verdict a sweep reports),
+  the spec/outcome wire codecs the serve daemon's worker lanes use, and
+  batch summaries;
 - :mod:`repro.batch.pool` — the warm ``ProcessPoolExecutor`` fan-out
   with an in-process serial twin.
 

@@ -31,7 +31,7 @@ actually removed the file — two caches pruning the same root cannot
 double-count one eviction between them.
 
 The disk store is the second of two tiers: content addresses make
-records immutable-by-key, so each process also keeps a small decoded
+records immutable-by-key, so each process also keeps a small record
 memo (:mod:`repro.batch.results`) and repeat hits skip the JSON parse
 and event rebuild entirely.  The memo is valid even where the disk is
 not writable — it is filled on the store path regardless of ``put``'s
@@ -41,7 +41,11 @@ outcome.
 that installs a :func:`~repro.core.registry.set_run_interceptor` serving
 deterministic ``run_patternlet`` calls from the store and persisting the
 misses.  The batch pool enters it around worker calls; ``patternlet
-selfcheck`` and ``patternlet sweep`` enter it around whole passes.
+selfcheck`` and ``patternlet sweep`` enter it around whole passes.  Its
+one lookup-or-compute step has two front-ends: the interceptor, which
+hands back a whole run (events decoded) for callers that read the
+trace, and :meth:`caching_runs.outcome`, which hands a sweep cell its
+outcome from the record's stored verdicts without decoding the events.
 """
 
 from __future__ import annotations
@@ -51,18 +55,27 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from repro.batch.results import (
     RECORD_SCHEMA,
-    _memo_serve,
-    memo_run,
+    RunOutcome,
+    memo_entry,
+    memo_record,
+    outcome_from_record,
+    outcome_from_run,
+    run_from_entry,
     run_from_record,
     run_to_record,
 )
 from repro.batch.specs import key_for_config
 from repro.core.capture import CapturedRun
-from repro.core.registry import Patternlet, RunConfig, set_run_interceptor
+from repro.core.registry import (
+    Patternlet,
+    RunConfig,
+    run_interceptor,
+    set_run_interceptor,
+)
 from repro.errors import CacheUnserializable
 
 __all__ = [
@@ -96,10 +109,30 @@ def _max_bytes_from_env() -> int:
         return DEFAULT_MAX_BYTES
 
 
+#: Stores since the last prune, per cache root, for this whole process.
+#: The pool and the serve lane build a fresh :class:`RunCache` per call,
+#: so a per-instance count would never reach ``PRUNE_EVERY``.
+_PUTS_SINCE_PRUNE: dict[str, int] = {}
+_PUTS_LOCK = threading.Lock()
+
+
+def _reset_put_budget() -> None:
+    # A forked child starts its own budget, with a lock no parent thread
+    # could have held across the fork.
+    global _PUTS_LOCK
+    _PUTS_LOCK = threading.Lock()
+    _PUTS_SINCE_PRUNE.clear()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; a no-op concern elsewhere
+    os.register_at_fork(after_in_child=_reset_put_budget)
+
+
 class RunCache:
     """One on-disk record store (see module docstring for layout/policy)."""
 
-    #: Prune every N stores, amortising the directory walk.
+    #: Prune every N stores to one root in this process, amortising the
+    #: directory walk.
     PRUNE_EVERY = 32
 
     def __init__(self, root: str | Path | None = None, *, max_bytes: int | None = None):
@@ -110,7 +143,6 @@ class RunCache:
         self.misses = 0
         self.stores = 0
         self.evictions = 0
-        self._puts_since_prune = 0
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -143,23 +175,37 @@ class RunCache:
         return record
 
     def put(self, key: str, record: Mapping[str, Any]) -> bool:
-        """Persist ``record`` under ``key`` (atomic write; False on failure)."""
+        """Persist ``record`` under ``key`` (atomic write; False on failure).
+
+        The record is serialised before any file exists, so one that
+        will not serialise leaves nothing behind, then written with one
+        ``write`` (the streaming encoder costs more than the run for
+        small cells).
+        """
+        try:
+            blob = json.dumps(record, separators=(",", ":")).encode()
+        except (TypeError, ValueError):
+            return False
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(record, fh, separators=(",", ":"))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(blob)
                 os.replace(tmp, path)
             except BaseException:
                 _quiet_unlink(Path(tmp))
                 raise
-        except (OSError, TypeError, ValueError):
+        except OSError:
             return False
         self.stores += 1
-        self._puts_since_prune += 1
-        if self._puts_since_prune >= self.PRUNE_EVERY:
+        root = str(self.root)
+        with _PUTS_LOCK:
+            puts = _PUTS_SINCE_PRUNE.get(root, 0) + 1
+            due = puts >= self.PRUNE_EVERY
+            _PUTS_SINCE_PRUNE[root] = 0 if due else puts
+        if due:
             self.prune()
         return True
 
@@ -205,7 +251,6 @@ class RunCache:
         whoever actually removed it counts it, so ``stats()`` across all
         writers sums to the true eviction count.
         """
-        self._puts_since_prune = 0
         records = sorted(self._records())  # oldest mtime first
         total = sum(size for _, size, _ in records)
         removed = 0
@@ -291,6 +336,9 @@ def _end_flight(scope: str, key: str) -> None:
         ev.set()
 
 
+_T = TypeVar("_T")
+
+
 class caching_runs:
     """Serve deterministic ``run_patternlet`` calls from a :class:`RunCache`.
 
@@ -321,17 +369,65 @@ class caching_runs:
             set_run_interceptor(self._prev)
             self._installed = False
 
+    @staticmethod
+    def installed() -> "caching_runs | None":
+        """The innermost entered context in this process, if any."""
+        owner = getattr(run_interceptor(), "__self__", None)
+        return owner if isinstance(owner, caching_runs) else None
+
+    # -- the two front-ends ----------------------------------------------------
+
     def _intercept(
         self, p: Patternlet, cfg: RunConfig, execute: Callable[[], CapturedRun]
     ) -> CapturedRun:
+        """The trace front-end: a whole run, its events decoded on a hit."""
         assert self.cache is not None
         key = key_for_config(p, cfg)
         if key is None:  # thread-mode or unkeyable extras: always live
             return execute()
+        return self._lookup_or_compute(
+            key, self._served_run, lambda: self._compute(key, execute)[0]
+        )
+
+    def outcome(
+        self, spec: Any, key: str, execute: Callable[[], CapturedRun]
+    ) -> RunOutcome:
+        """The outcome front-end: ``spec``'s :class:`RunOutcome` under ``key``.
+
+        A hit is built from the record's stored verdicts and never
+        decodes the events; a miss runs ``execute()`` once and reports
+        the verdicts its record write derived.  ``key`` must be the
+        spec's content address.
+        """
+        assert self.cache is not None
+
+        def computed() -> RunOutcome:
+            run, record = self._compute(key, execute)
+            if record is None:  # not expressible as a record: uncached
+                return outcome_from_run(spec, key, run)
+            return outcome_from_record(spec, key, record, cached=False)
+
+        return self._lookup_or_compute(
+            key, lambda scope, k: self._served_outcome(spec, scope, k), computed
+        )
+
+    # -- the shared lookup-or-compute step -------------------------------------
+
+    def _lookup_or_compute(
+        self,
+        key: str,
+        serve: Callable[[str, str], "_T | None"],
+        compute: Callable[[], _T],
+    ) -> _T:
+        """``serve`` ``key`` from the memo or disk, else ``compute`` it once.
+
+        ``compute`` runs under this process's single flight for the key.
+        """
+        assert self.cache is not None
         scope = str(self.cache.root)
-        run = self._serve(scope, key)
-        if run is not None:
-            return run
+        served = serve(scope, key)
+        if served is not None:
+            return served
         follow = _begin_flight(scope, key)
         if follow is not None:
             # Another thread is already computing this key: wait it out,
@@ -339,22 +435,22 @@ class caching_runs:
             # outran the backstop) leaves us computing live — duplicated
             # work on a deterministic key, never a wrong answer.
             follow.wait(FLIGHT_WAIT_S)
-            run = self._serve(scope, key)
-            if run is not None:
-                return run
-            return self._compute(scope, key, execute)
+            served = serve(scope, key)
+            if served is not None:
+                return served
+            return compute()
         try:
-            return self._compute(scope, key, execute)
+            return compute()
         finally:
             _end_flight(scope, key)
 
-    def _serve(self, scope: str, key: str) -> CapturedRun | None:
-        """Serve ``key`` from the memo or the disk store (``None`` = miss)."""
+    def _served_run(self, scope: str, key: str) -> CapturedRun | None:
+        """``key`` as a whole run from the memo or disk (``None`` = miss)."""
         assert self.cache is not None
-        served = _memo_serve(scope, key)  # already decoded in this process
-        if served is not None:
-            self.cache.hits += 1
-            return served
+        entry = memo_entry(scope, key)
+        if entry is not None and entry["events"] is not None:
+            self.cache.hits += 1  # already decoded in this process
+            return run_from_entry(entry)
         record = self.cache.get(key)
         if record is not None:
             try:
@@ -362,20 +458,44 @@ class caching_runs:
             except (CacheUnserializable, KeyError, TypeError, ValueError):
                 pass  # unreadable record: fall through to a live run
             else:
-                memo_run(scope, key, run, record)
+                memo_record(scope, key, record, run.trace.events())
                 return run
         return None
 
+    def _served_outcome(self, spec: Any, scope: str, key: str) -> RunOutcome | None:
+        """``key``'s outcome from the memo or disk (``None`` = miss)."""
+        assert self.cache is not None
+        entry = memo_entry(scope, key)
+        if entry is not None:
+            self.cache.hits += 1
+            record = entry
+        else:
+            record = self.cache.get(key)
+            if record is None:
+                return None
+        try:
+            outcome = outcome_from_record(spec, key, record)
+        except (KeyError, TypeError, ValueError):
+            return None  # unreadable record: fall through to a live run
+        if entry is None:
+            memo_record(scope, key, record)
+        return outcome
+
     def _compute(
-        self, scope: str, key: str, execute: Callable[[], CapturedRun]
-    ) -> CapturedRun:
-        """Run live and persist the result under ``key`` (memo + disk)."""
+        self, key: str, execute: Callable[[], CapturedRun]
+    ) -> tuple[CapturedRun, dict[str, Any] | None]:
+        """Run live and persist the result under ``key`` (memo + disk).
+
+        Returns the run and its record (``None`` when the run is not
+        expressible as one and stays uncached).
+        """
         assert self.cache is not None
         run = execute()
         try:
             record = run_to_record(run, key=key)
         except CacheUnserializable:
-            return run  # run not expressible as a record: stays uncached
-        memo_run(scope, key, run, record)  # memo is valid even if disk isn't
+            return run, None
+        # The memo is valid even if the disk is not.
+        memo_record(str(self.cache.root), key, record, run.trace.events())
         self.cache.put(key, record)
-        return run
+        return run, record

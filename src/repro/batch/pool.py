@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.batch.cache import RunCache, cache_enabled, caching_runs
-from repro.batch.results import BatchReport, RunOutcome
+from repro.batch.results import BatchReport, RunOutcome, outcome_from_run
 from repro.batch.specs import RunSpec, spec_key
 
 __all__ = [
@@ -224,26 +224,35 @@ def map_calls(
 
 
 def _exec_spec(spec: RunSpec) -> RunOutcome:
-    """Run one spec (on whichever process) and summarise it."""
-    from repro.core.registry import run_patternlet
-    from repro.obs.derive import run_summary
-    from repro.trace import detect_races
+    """Run one spec (on whichever process) and summarise it.
+
+    Under an installed :class:`~repro.batch.cache.caching_runs` a keyed
+    spec takes the cache's outcome front-end: one lookup, a hit reported
+    from the record's stored verdicts, a miss executed and derived once
+    as its record is written.  Anything else runs through
+    ``run_patternlet`` and derives its summary once.
+    """
+    from repro.core.registry import prepare_run, run_patternlet
 
     try:
         key = spec_key(spec)
     except Exception:  # noqa: BLE001 - an unkeyable spec may still run (or fail)
         key = None
+    runs = caching_runs.installed() if key is not None else None
+    kwargs = dict(
+        tasks=spec.tasks,
+        toggles=spec.toggle_dict or None,
+        mode=spec.mode,
+        seed=spec.seed,
+        policy=spec.policy,
+        topology=spec.topology,
+        **spec.extra_dict,
+    )
     try:
-        run = run_patternlet(
-            spec.patternlet,
-            tasks=spec.tasks,
-            toggles=spec.toggle_dict or None,
-            mode=spec.mode,
-            seed=spec.seed,
-            policy=spec.policy,
-            topology=spec.topology,
-            **spec.extra_dict,
-        )
+        if runs is not None:
+            _, _, execute = prepare_run(spec.patternlet, **kwargs)
+            return runs.outcome(spec, key, execute)
+        run = run_patternlet(spec.patternlet, **kwargs)
     except Exception as exc:  # noqa: BLE001 - reported per-outcome
         return RunOutcome(
             spec=spec,
@@ -255,16 +264,7 @@ def _exec_spec(spec: RunSpec) -> RunOutcome:
             races=0,
             error=f"{type(exc).__name__}: {exc}",
         )
-    return RunOutcome(
-        spec=spec,
-        key=key,
-        cached=bool(run.meta.get("cached")),
-        text=run.text,
-        span=run.span,
-        wall=run.wall,
-        races=len(detect_races(run.trace)),
-        metrics=run_summary(run.trace, tasks_hint=run.meta.get("tasks")),
-    )
+    return outcome_from_run(spec, key, run)
 
 
 def run_specs(

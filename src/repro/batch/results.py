@@ -26,27 +26,40 @@ and the run simply executes live instead of being cached.
 
 :func:`run_to_record` / :func:`run_from_record` turn a
 :class:`~repro.core.capture.CapturedRun` into one JSON document (events,
-span, wall, metadata, result when expressible, and the happens-before
-race verdict) and back.  :class:`RunOutcome` / :class:`BatchReport` are
-the batch runner's per-run and per-batch summaries.
+span, wall, metadata, result when expressible) and back.  The record
+also carries the verdicts a sweep reports, derived once when it is
+written: the printed ``text``, the :func:`~repro.obs.derive.run_summary`
+dict (kept as its own JSON text) and its ``races`` count.
+:func:`outcome_from_record` builds a :class:`RunOutcome` from those
+stored fields alone, so a sweep or serve hit never rebuilds the event
+stream; only callers that read the trace itself (figure checks, race
+reports, metrics) decode the events.  :class:`RunOutcome` /
+:class:`BatchReport` are the batch runner's per-run and per-batch
+summaries.
 
 Above the disk store sits a small in-process memo: because keys are
 content addresses (same key ⇒ same record, by construction), a record
-decoded once per process never needs decoding again — repeat hits share
-the same frozen :class:`~repro.trace.events.Event` objects and skip both
-the JSON parse and the event rebuild.  Only the mutable per-run bits
-(``meta``, ``result``) are re-decoded from their wire form on each
-serve, so served runs never alias each other's mutable state.
+read once per process never needs reading again, and one decoded once
+never needs decoding again — repeat hits share the same frozen
+:class:`~repro.trace.events.Event` objects and skip both the JSON parse
+and the event rebuild.  The mutable per-run bits (``meta``, ``result``,
+``summary``) stay in their wire form and are decoded on each serve, so
+served runs and outcomes never alias each other's mutable state.  The
+summary's wire form is its JSON text: the summary is plain JSON by
+construction and is only ever read whole, and in the memo the text
+takes about 0.55 KB per lab-grid cell against 4.2 KB parsed (7.6 KB in
+the tagged form).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.core.capture import CapturedRun
 from repro.errors import CacheUnserializable
-from repro.trace import detect_races
+from repro.obs.derive import run_summary
 from repro.trace.events import Event
 
 __all__ = [
@@ -55,9 +68,13 @@ __all__ = [
     "RunOutcome",
     "decode_value",
     "encode_value",
-    "memo_run",
+    "memo_entry",
+    "memo_record",
+    "outcome_from_record",
+    "outcome_from_run",
     "outcome_from_wire",
     "outcome_to_wire",
+    "run_from_entry",
     "run_from_record",
     "run_to_record",
     "spec_from_wire",
@@ -65,8 +82,9 @@ __all__ = [
 ]
 
 #: Bumped whenever the record layout changes; mismatched records are
-#: treated as cache misses, never as errors.
-RECORD_SCHEMA = 1
+#: treated as cache misses, never as errors.  Schema 2 added the stored
+#: verdicts (``text``, ``summary``, ``races`` from the summary).
+RECORD_SCHEMA = 2
 
 
 def _pct(values: list[float], q: float) -> float:
@@ -178,24 +196,34 @@ def run_to_record(run: CapturedRun, *, key: str) -> dict[str, Any]:
     ``TeamResult``) do not serialise, and no deterministic figure check
     reads them, so an inexpressible result is recorded as absent rather
     than blocking the cache.
+
+    The run's summary is derived here, once, and stored with its race
+    count and printed text: a sweep served from this record reports
+    them without touching the events.  A stored verdict cannot outlive
+    the code that derived it, because the engine fingerprint in every
+    key hashes ``obs/derive.py`` and ``trace/hb.py``.
     """
     trace = run.trace
     if trace.dropped or trace.evicted:
         raise CacheUnserializable("trace is incomplete (dropped/evicted events)")
     events = [_event_to_wire(ev) for ev in trace.events()]
+    meta = encode_value(run.meta)  # an unrecordable run fails before deriving
     try:
         result: dict[str, Any] | None = {"value": encode_value(run.result)}
     except CacheUnserializable:
         result = None
+    summary = run_summary(trace, tasks_hint=run.meta.get("tasks"))
     return {
         "schema": RECORD_SCHEMA,
         "key": key,
         "events": events,
         "wall": run.wall,
         "span": run.span,
-        "meta": encode_value(run.meta),
+        "meta": meta,
         "result": result,
-        "races": len(detect_races(trace)),
+        "text": run.text,
+        "summary": json.dumps(summary, separators=(",", ":")),
+        "races": summary["races"],
     }
 
 
@@ -207,76 +235,108 @@ def run_from_record(record: Mapping[str, Any]) -> CapturedRun:
     exactly as it did on the original run.  ``meta["cached"]`` marks the
     run as served.
     """
-    events = tuple(_event_from_wire(w) for w in record["events"])
-    return _run_from_entry(
-        (
-            events,
-            record["wall"],
-            record["span"],
-            record["meta"],
-            record.get("result"),
-        )
+    return _rebuild(tuple(_event_from_wire(w) for w in record["events"]), record)
+
+
+def outcome_from_record(
+    spec: Any, key: str, record: Mapping[str, Any], *, cached: bool = True
+) -> "RunOutcome":
+    """The :class:`RunOutcome` a record's stored verdicts describe.
+
+    The one record → outcome path: sweep hits, executed cells (from the
+    record their write just derived, ``cached=False``) and the serve
+    daemon's cache tier all report through it.  Reads no events.
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` for a malformed
+    record.
+    """
+    return RunOutcome(
+        spec=spec,
+        key=key,
+        cached=cached,
+        text=record["text"],
+        span=record["span"],
+        wall=record["wall"],
+        races=record["races"],
+        metrics=json.loads(record["summary"]),
     )
 
 
-# -- the in-process decoded-record memo ---------------------------------------
+def outcome_from_run(spec: Any, key: str | None, run: CapturedRun) -> "RunOutcome":
+    """The :class:`RunOutcome` of a run that has no record (uncached).
+
+    Derives the summary once and takes the race count from it.
+    """
+    summary = run_summary(run.trace, tasks_hint=run.meta.get("tasks"))
+    return RunOutcome(
+        spec=spec,
+        key=key,
+        cached=bool(run.meta.get("cached")),
+        text=run.text,
+        span=run.span,
+        wall=run.wall,
+        races=summary["races"],
+        metrics=summary,
+    )
+
+
+# -- the in-process record memo -----------------------------------------------
 
 #: Entry cap; eviction is insertion-ordered (oldest first), which is fine
 #: for a per-process working set this size.
 _MEMO_CAP = 512
 
-_memo: dict[tuple[str, str], tuple[Any, ...]] = {}
-
-
-def _memo_put(scope: str, key: str, entry: tuple[Any, ...]) -> None:
-    k = (scope, key)
-    if len(_memo) >= _MEMO_CAP and k not in _memo:
-        _memo.pop(next(iter(_memo)))
-    _memo[k] = entry
-
-
-def _memo_serve(scope: str, key: str) -> CapturedRun | None:
-    entry = _memo.get((scope, key))
-    return _run_from_entry(entry) if entry is not None else None
+_memo: dict[tuple[str, str], dict[str, Any]] = {}
 
 
 def _memo_clear() -> None:
     _memo.clear()
 
 
-def memo_run(
-    scope: str, key: str, run: CapturedRun, record: Mapping[str, Any]
+def memo_entry(scope: str, key: str) -> Mapping[str, Any] | None:
+    """The memoized record for ``key`` in store ``scope``, or ``None``.
+
+    An entry is a record whose ``events`` field holds the decoded, frozen
+    event stream, or ``None`` when this process has only served outcomes
+    from it.  Treat it as read-only.
+    """
+    return _memo.get((scope, key))
+
+
+def memo_record(
+    scope: str,
+    key: str,
+    record: Mapping[str, Any],
+    events: "Iterable[Event] | None" = None,
 ) -> None:
-    """Memoize a run under its content ``key``, scoped to one store.
+    """Memoize ``record`` under its content ``key``, scoped to one store.
 
     ``scope`` is the owning cache's root path: the memo mirrors a
     *store*, so two caches at different roots stay fully isolated even
-    inside one process (``--cache-dir`` must mean what it says).  The
-    run's frozen events are shared directly — no decode ever happens
-    again for this key — while ``meta``/``result`` stay in wire form so
-    serves cannot alias each other's mutable state.
+    inside one process (``--cache-dir`` must mean what it says).
+    ``events`` is the run's event stream when this process has it (a
+    live run or a decoded record): it is shared directly, so no decode
+    ever happens again for this key.  The record's wire-form events are
+    dropped either way.
     """
-    _memo_put(
-        scope,
-        key,
-        (
-            tuple(run.trace.events()),
-            record["wall"],
-            record["span"],
-            record["meta"],
-            record.get("result"),
-        ),
-    )
+    k = (scope, key)
+    if len(_memo) >= _MEMO_CAP and k not in _memo:
+        _memo.pop(next(iter(_memo)))
+    _memo[k] = dict(record, events=tuple(events) if events is not None else None)
 
 
-def _run_from_entry(entry: tuple[Any, ...]) -> CapturedRun:
-    events, wall, span, meta_wire, result_wire = entry
+def run_from_entry(entry: Mapping[str, Any]) -> CapturedRun:
+    """A served run from a memo entry whose events are decoded."""
+    return _rebuild(entry["events"], entry)
+
+
+def _rebuild(events: tuple[Event, ...], record: Mapping[str, Any]) -> CapturedRun:
     run = CapturedRun()
     run.trace.preload(events)
-    run.wall = wall
-    run.span = span
-    run.meta = decode_value(meta_wire)
+    run.wall = record["wall"]
+    run.span = record["span"]
+    run.meta = decode_value(record["meta"])
     run.meta["cached"] = True
+    result_wire = record.get("result")
     if result_wire is not None:
         run.result = decode_value(result_wire["value"])
     return run

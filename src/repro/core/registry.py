@@ -38,6 +38,8 @@ __all__ = [
     "get_patternlet",
     "all_patternlets",
     "inventory",
+    "prepare_run",
+    "run_interceptor",
     "run_patternlet",
     "set_run_interceptor",
 ]
@@ -202,6 +204,11 @@ def set_run_interceptor(fn: RunInterceptor | None) -> RunInterceptor | None:
     return prev
 
 
+def run_interceptor() -> RunInterceptor | None:
+    """The installed run interceptor (``None`` when runs execute directly)."""
+    return _RUN_INTERCEPTOR
+
+
 def run_patternlet(
     name: str,
     *,
@@ -224,6 +231,37 @@ def run_patternlet(
     ``None`` resolves the process default (``REPRO_TOPOLOGY`` env hatch,
     else binomial) so the chosen topology is always recorded in the run's
     metadata.
+    """
+    p, cfg, execute = prepare_run(
+        name, tasks=tasks, toggles=toggles, mode=mode, seed=seed,
+        policy=policy, topology=topology, echo=echo, **extra,
+    )
+    interceptor = _RUN_INTERCEPTOR
+    if interceptor is not None and not echo:
+        # echo streams to the real stdout as the run happens; a served
+        # cache record has no live stream, so echoing runs stay direct.
+        return interceptor(p, cfg, execute)
+    return execute()
+
+
+def prepare_run(
+    name: str,
+    *,
+    tasks: int | None = None,
+    toggles: Mapping[str, bool] | None = None,
+    mode: str = "lockstep",
+    seed: int = 0,
+    policy: str = "random",
+    topology: str | None = None,
+    echo: bool = False,
+    **extra: Any,
+) -> tuple[Patternlet, RunConfig, Callable[[], CapturedRun]]:
+    """Resolve a :func:`run_patternlet` call without running it.
+
+    Returns ``(patternlet, cfg, execute)``: ``execute()`` performs the
+    captured run and bypasses the interceptor, so a caller that manages
+    the run cache itself (the batch pool's outcome path) can hand it to
+    the cache as the compute step of a miss.
     """
     p = get_patternlet(name)
     if tasks is not None and tasks <= 0:
@@ -255,9 +293,4 @@ def run_patternlet(
         )
         return run
 
-    interceptor = _RUN_INTERCEPTOR
-    if interceptor is not None and not echo:
-        # echo streams to the real stdout as the run happens; a served
-        # cache record has no live stream, so echoing runs stay direct.
-        return interceptor(p, cfg, _execute)
-    return _execute()
+    return p, cfg, _execute

@@ -349,6 +349,10 @@ def run_metrics(run: Any) -> MetricsRegistry:
     the engine-identity info labels (version + fingerprint) every
     metrics artifact must carry.
     """
+    return _run_registry(run, run_summary(run.trace, tasks_hint=run.meta.get("tasks")))
+
+
+def _run_registry(run: Any, summary: Mapping[str, Any]) -> MetricsRegistry:
     from repro._version import __version__
     from repro.batch.specs import engine_fingerprint
 
@@ -360,7 +364,6 @@ def run_metrics(run: Any) -> MetricsRegistry:
         if value is not None:
             reg.info[field] = str(value)
     derive_metrics(run.trace, registry=reg)
-    summary = run_summary(run.trace, tasks_hint=run.meta.get("tasks"))
     g = reg.gauge("run_span", "Critical-path virtual time of the run.", unit="work")
     g.set(summary["span"])
     reg.gauge("run_total_work", "Sum of final task clocks.", unit="work").set(
@@ -393,7 +396,7 @@ def metrics_dict(run: Any) -> dict[str, Any]:
     (after ``json.dumps(..., sort_keys=True)``): registry families,
     engine identity, and the summary — and nothing wall-clock-shaped.
     """
-    reg = run_metrics(run)
-    doc = reg.to_json()
-    doc["summary"] = run_summary(run.trace, tasks_hint=run.meta.get("tasks"))
+    summary = run_summary(run.trace, tasks_hint=run.meta.get("tasks"))
+    doc = _run_registry(run, summary).to_json()
+    doc["summary"] = summary
     return doc

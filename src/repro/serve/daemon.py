@@ -273,9 +273,9 @@ class ServeDaemon:
         assert self.service is not None
         doc = self._decode_json(body)
         spec = parse_run_request(doc)
-        status, payload, served = await self.service.serve_run(spec)
-        extra = {"X-Patternlet-Served": served}
         key = spec_key(spec)
+        status, payload, served = await self.service.serve_run(spec, key)
+        extra = {"X-Patternlet-Served": served}
         if key is not None:
             extra["X-Patternlet-Key"] = key
         return status, payload, _JSON_TYPE, extra

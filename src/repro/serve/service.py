@@ -52,7 +52,13 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro._version import __version__
-from repro.batch.results import outcome_from_wire, outcome_to_wire, spec_from_wire, spec_to_wire
+from repro.batch.results import (
+    outcome_from_record,
+    outcome_from_wire,
+    outcome_to_wire,
+    spec_from_wire,
+    spec_to_wire,
+)
 from repro.batch.specs import RunSpec, engine_fingerprint, spec_key, sweep_fingerprint
 from repro.errors import ReproError
 
@@ -306,9 +312,10 @@ class PatternletService:
 
     All mutable state — the single-flight table, the response memo, the
     metrics registry — is touched only from the event loop thread, so
-    none of it needs locks; executions and cache decodes happen on
-    executor threads / pool processes and only their *results* cross
-    back onto the loop.
+    none of it needs locks; executions happen on executor threads / pool
+    processes and only their *results* cross back onto the loop.  The
+    cache tier reads its record on the loop, but builds the response
+    from the record's stored verdicts without decoding the events.
     """
 
     #: Finished response bodies kept per spec key (content-addressed, so
@@ -442,22 +449,27 @@ class PatternletService:
             record = self._cache.get(key)
             if record is not None:
                 try:
-                    return self._payload_for(key, self._outcome_from_record(key, record))
-                except ReproError:
+                    return self._payload_for(key, outcome_from_record(None, key, record))
+                except (KeyError, TypeError, ValueError):
                     return None
         return None
 
     # -- the /run pipeline ---------------------------------------------------
 
-    async def serve_run(self, spec: RunSpec) -> tuple[int, bytes, str]:
+    async def serve_run(
+        self, spec: RunSpec, key: str | None = None
+    ) -> tuple[int, bytes, str]:
         """Serve one canonical spec; returns ``(status, body, served-by)``.
 
         ``served-by`` names the tier that produced the bytes (``memo``,
         ``coalesce``, ``cache``, ``execute``) — exposed as a response
         header so clients and tests can see coalescing without the
-        bodies differing per tier.
+        bodies differing per tier.  ``key`` is the spec's content
+        address when the caller already has it (``/run`` computes it for
+        its ``X-Patternlet-Key`` header); otherwise it is computed here.
         """
-        key = spec_key(spec)
+        if key is None:
+            key = spec_key(spec)
         if key is None:  # unreachable after validation; belt and braces
             raise RequestError("spec is not content-addressable")
         body = self._memo.get(key)
@@ -474,7 +486,12 @@ class PatternletService:
         if self._cache is not None:
             record = self._cache.get(key)
             if record is not None:
-                outcome = self._outcome_from_record(key, record)
+                try:
+                    outcome = outcome_from_record(spec, key, record)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise RequestError(
+                        f"stored record for {key} is unreadable: {exc}",
+                        status=500) from None
                 body = self._payload_for(key, outcome)
                 self.c_cache_hits.inc()
                 return 200, body, "cache"
@@ -513,18 +530,13 @@ class PatternletService:
             self.g_inflight.set(min(self._pending, self.cfg.workers))
             try:
                 self.c_executions.inc()
-                wire, stats = await self._dispatch(spec)
+                # The lane's own cache counters are not folded in:
+                # serve_run already counted this request's miss.
+                wire, _ = await self._dispatch(spec)
             finally:
                 self._sem.release()
                 self.g_inflight.set(
                     max(0, min(self._pending - 1, self.cfg.workers)))
-            for name, n in (("hits", stats.get("hits", 0)),
-                            ("misses", stats.get("misses", 0))):
-                # Worker-side cache counters (a pool process may itself
-                # have hit the shared store).
-                if n:
-                    (self.c_cache_hits if name == "hits"
-                     else self.c_cache_misses).inc(amount=n)
             outcome = outcome_from_wire(wire)
             if outcome.error is not None:
                 body = self._error_body(outcome.error)
@@ -620,30 +632,6 @@ class PatternletService:
         return (200 if errors == 0 else 500), _dumps(summary)
 
     # -- payload construction ------------------------------------------------
-
-    def _outcome_from_record(self, key: str, record: Mapping[str, Any]) -> Any:
-        """Decode one cache record into a RunOutcome-shaped object."""
-        from repro.batch.results import run_from_record
-        from repro.obs.derive import run_summary
-        from repro.trace import detect_races
-
-        try:
-            run = run_from_record(dict(record))
-        except ReproError as exc:
-            raise RequestError(f"stored record for {key} is unreadable: {exc}",
-                               status=500) from None
-        from repro.batch.results import RunOutcome
-
-        return RunOutcome(
-            spec=None,
-            key=key,
-            cached=True,
-            text=run.text,
-            span=run.span,
-            wall=run.wall,
-            races=len(detect_races(run.trace)),
-            metrics=run_summary(run.trace, tasks_hint=run.meta.get("tasks")),
-        )
 
     def _payload_for(self, key: str, outcome: Any) -> bytes:
         """Build (and memoise) the content-addressed response body.

@@ -10,6 +10,7 @@ import repro.core.registry as registry
 from repro.batch.cache import RunCache, cache_enabled, caching_runs, default_cache_dir
 from repro.batch.pool import run_specs
 from repro.batch.results import (
+    RECORD_SCHEMA,
     _memo_clear,
     outcome_from_wire,
     outcome_to_wire,
@@ -17,7 +18,7 @@ from repro.batch.results import (
     spec_from_wire,
     spec_to_wire,
 )
-from repro.batch.specs import RunSpec, spec_key
+from repro.batch.specs import RunSpec, figure_suite_specs, spec_key
 from repro.core.registry import run_patternlet
 from repro.errors import CacheUnserializable
 
@@ -71,6 +72,90 @@ class TestHitNeverExecutes:
             b = run_patternlet("openmp.critical2", mode="thread", tasks=2, reps=50)
         assert cache.stores == 0
         assert not a.meta.get("cached") and not b.meta.get("cached")
+
+
+class TestStoredVerdicts:
+    """Records carry the verdicts a sweep reports, derived once at write."""
+
+    _SPEC = RunSpec.make("openmp.reduction", toggles={"parallel_for": True}, seed=1)
+
+    def _sweep(self, cache_dir, specs=None):
+        return run_specs(specs or [self._SPEC], max_workers=1, use_cache=True,
+                         cache_dir=str(cache_dir))
+
+    def test_record_stores_text_summary_and_races(self, tmp_path):
+        cold = self._sweep(tmp_path)
+        (outcome,) = cold.outcomes
+        record = RunCache(tmp_path).get(outcome.key)
+        assert record["schema"] == RECORD_SCHEMA == 2
+        assert record["text"] == outcome.text
+        assert json.loads(record["summary"]) == outcome.metrics
+        assert record["races"] == outcome.metrics["races"] == outcome.races > 0
+
+    def test_schema_1_record_is_a_miss_and_is_replaced(self, tmp_path):
+        key = spec_key(self._SPEC)
+        cold = self._sweep(tmp_path)
+        path = RunCache(tmp_path)._path(key)
+        old = json.loads(path.read_text())
+        old = {k: v for k, v in old.items() if k not in ("text", "summary")}
+        old["schema"] = 1
+        path.write_text(json.dumps(old))
+        _memo_clear()
+        again = self._sweep(tmp_path)
+        assert again.executed == 1 and again.cache_stats["misses"] == 1
+        assert again.outcomes[0].metrics == cold.outcomes[0].metrics
+        stored = json.loads(path.read_text())
+        assert stored["schema"] == 2
+        assert stored["text"] == cold.outcomes[0].text
+
+    def test_record_missing_its_verdicts_is_recomputed(self, tmp_path):
+        cold = self._sweep(tmp_path)
+        path = RunCache(tmp_path)._path(cold.outcomes[0].key)
+        broken = json.loads(path.read_text())
+        del broken["summary"]
+        path.write_text(json.dumps(broken))
+        _memo_clear()
+        again = self._sweep(tmp_path)
+        assert again.executed == 1 and not again.errors
+        assert again.outcomes[0].metrics == cold.outcomes[0].metrics
+        assert "summary" in json.loads(path.read_text())
+
+    def test_warm_hit_neither_decodes_nor_derives(self, tmp_path, monkeypatch):
+        import repro.batch.cache as cache_mod
+        import repro.batch.results as results_mod
+        import repro.obs.derive as derive_mod
+        import repro.trace as trace_mod
+        import repro.trace.hb as hb_mod
+
+        specs = [self._SPEC, RunSpec.make("mpi.reduction", tasks=4, seed=0)]
+        cold = self._sweep(tmp_path, specs)
+        _memo_clear()  # the disk tier, not just the memo
+
+        def sentinel(*a, **k):
+            raise AssertionError("a warm hit rebuilt or re-derived its run")
+
+        for module, name in (
+            (cache_mod, "run_from_record"),
+            (results_mod, "run_from_record"),
+            (results_mod, "run_summary"),
+            (derive_mod, "run_summary"),
+            (trace_mod, "detect_races"),
+            (hb_mod, "detect_races"),
+            (registry, "capture_run"),
+        ):
+            monkeypatch.setattr(module, name, sentinel)
+        for _ in range(2):  # the disk tier, then the memo tier
+            warm = self._sweep(tmp_path, specs)
+            assert not warm.errors and warm.hit_rate == 1.0
+            assert [(o.text, o.span, o.races, o.metrics) for o in warm.outcomes] == [
+                (o.text, o.span, o.races, o.metrics) for o in cold.outcomes
+            ]
+
+    def test_served_outcomes_do_not_share_summaries(self, tmp_path):
+        self._sweep(tmp_path)
+        first = self._sweep(tmp_path).outcomes[0]  # memo tier
+        first.metrics["races"] = -1
+        assert self._sweep(tmp_path).outcomes[0].metrics["races"] > 0
 
 
 class TestServedRunsAreWhole:
@@ -219,6 +304,60 @@ class TestStore:
         stats = cache.stats()
         assert stats["stores"] == 1 and stats["hits"] == 1
         assert stats["evictions"] == 0
+
+    def test_unserialisable_record_touches_nothing(self, tmp_path):
+        cache = _cache(tmp_path)
+        assert not cache.put("ab" + "0" * 62, {"schema": RECORD_SCHEMA, "x": object()})
+        assert not cache.root.exists()  # no fan-out directory, no temp file
+        assert cache.stores == 0
+
+    def test_pooled_sweep_honours_the_size_cap(self, tmp_path, monkeypatch):
+        # Pool workers build a RunCache per cell, so the prune budget
+        # must outlive the instance: every worker prunes after its
+        # PRUNE_EVERY-th store to the root, whichever instances made them.
+        from repro.batch.pool import shutdown_pool
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0")
+        shutdown_pool()  # fork workers that see the cap
+        root = tmp_path / "runs"
+        try:
+            report = run_specs(figure_suite_specs(seeds=range(6)), max_workers=2,
+                               use_cache=True, cache_dir=str(root))
+        finally:
+            shutdown_pool()
+        assert report.pooled and not report.errors
+        assert report.cache_stats["stores"] == report.runs
+        assert report.cache_stats["evictions"] > 0
+        assert len(RunCache(root)) <= report.workers * (RunCache.PRUNE_EVERY - 1)
+
+    def test_prune_budget_is_exact_under_threads(self, tmp_path, monkeypatch):
+        # Many instances on many threads share one root's budget: a lost
+        # update would skip a prune.  Every PRUNE_EVERY-th store prunes.
+        import sys
+        import threading
+
+        prunes = []
+        monkeypatch.setattr(RunCache, "prune", lambda self: prunes.append(1) or 0)
+        root = tmp_path / "runs"
+        n_threads, puts = 8, 20 * RunCache.PRUNE_EVERY
+
+        def writer(wid):
+            for i in range(puts):
+                RunCache(root).put(f"{wid:02d}{i:062d}", {"schema": RECORD_SCHEMA})
+
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(RunCache(root)) == n_threads * puts
+        assert len(prunes) == n_threads * puts // RunCache.PRUNE_EVERY
 
     def test_prune_counts_evictions(self, tmp_path):
         cache = _cache(tmp_path, max_bytes=1)

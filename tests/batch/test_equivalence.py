@@ -3,8 +3,8 @@
 The tentpole's correctness bar: however a deterministic run is produced
 — in-process, on a forked worker, decoded from a disk record, served
 from the in-process memo, or written to the store by pool workers and
-read back by fresh ones — its printed text, span, and happens-before
-race verdict are byte-for-byte the figure suite's.
+read back by fresh ones — its printed text, span, happens-before race
+verdict and run summary are byte-for-byte the figure suite's.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ SEEDS = range(8)
 
 
 def _fingerprint(report):
-    return [(o.text, o.span, o.races) for o in report.outcomes]
+    # metrics: a cache-served outcome reports the summary stored in its
+    # record, so every leg below proves stored == recomputed.
+    return [(o.text, o.span, o.races, o.metrics) for o in report.outcomes]
 
 
 @pytest.fixture(autouse=True)

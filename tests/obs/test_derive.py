@@ -126,6 +126,24 @@ class TestRunSummary:
         assert run_summary(fixed.trace)["races"] == 0
 
 
+class TestMetricsDict:
+    def test_summary_is_derived_once(self, monkeypatch):
+        import repro.obs.derive as derive
+
+        run = run_patternlet("openmp.reduction", toggles={"parallel_for": True}, seed=1)
+        real = derive.run_summary
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(derive, "run_summary", counting)
+        doc = derive.metrics_dict(run)
+        assert len(calls) == 1
+        assert doc["summary"] == real(run.trace, tasks_hint=run.meta.get("tasks"))
+
+
 class TestLoopScheduleHistograms:
     """The three loop-schedule patternlets, as per-rank work numbers —
     the quantitative form of the paper's Fig. 15/16/17 comparison."""

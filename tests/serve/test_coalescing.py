@@ -127,6 +127,26 @@ class TestServiceTiers:
         assert len(calls) == 1
         assert service.c_cache_hits.total() == 1.0
 
+    def test_each_cold_request_counts_one_miss(self, tmp_path):
+        # The execution lane looks the store up again; its miss is the
+        # same request's and must not be counted twice.
+        specs = [parse_run_request({"patternlet": "openmp.spmd", "np": 2,
+                                    "seed": seed}) for seed in range(3)]
+        service = PatternletService(
+            ServeConfig(use_cache=True, cache_dir=str(tmp_path)))
+
+        async def one_by_one():
+            return [await service.serve_run(spec) for spec in specs]
+
+        try:
+            results = asyncio.run(one_by_one())
+        finally:
+            service.close()
+        assert [tier for _, _, tier in results] == ["execute"] * 3
+        assert service.c_cache_misses.total() == 3.0
+        assert service.c_executions.total() == 3.0
+        assert service.c_cache_hits.total() == 0.0
+
     def test_cold_daemon_serves_from_the_shared_disk_cache(self, tmp_path):
         # A restarted daemon inherits every prior execution through the
         # content-addressed store: same key, same bytes, zero runs.

@@ -79,6 +79,27 @@ class TestRoutes:
             assert "patternlet_serve_executions" in doc
             assert "patternlet_serve_requests" in doc
 
+    def test_run_computes_its_key_once(self, tmp_path, monkeypatch):
+        import repro.serve.daemon as daemon_mod
+        import repro.serve.service as service_mod
+        from repro.batch.specs import spec_key
+
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return spec_key(spec)
+
+        monkeypatch.setattr(daemon_mod, "spec_key", counting)
+        monkeypatch.setattr(service_mod, "spec_key", counting)
+        with running(cache_dir=str(tmp_path)) as daemon:
+            for tier in ("execute", "memo"):
+                calls.clear()
+                status, headers, _ = _request(daemon.port, "POST", "/run", RUN)
+                assert status == 200
+                assert headers["x-patternlet-served"] == tier
+                assert len(calls) == 1
+
     def test_sweep_summary_and_stored_report(self, tmp_path):
         with running(cache_dir=str(tmp_path)) as daemon:
             grid = {"patternlets": ["mpi.reduction"], "np": [2, 4],
