@@ -331,18 +331,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.metrics or args.metrics_out:
         from repro.obs import metrics_dict, run_metrics
 
+        as_json = bool(args.metrics_out) and args.metrics_out.endswith(".json")
+        text = (
+            run_metrics(run).to_openmetrics()
+            if args.metrics or not as_json
+            else ""
+        )
         if args.metrics:
-            print(run_metrics(run).to_openmetrics(), end="")
+            print(text, end="")
         if args.metrics_out:
             import json
 
             try:
                 with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                    if args.metrics_out.endswith(".json"):
+                    if as_json:
                         json.dump(metrics_dict(run), fh, indent=1, sort_keys=True)
                         fh.write("\n")
                     else:
-                        fh.write(run_metrics(run).to_openmetrics())
+                        fh.write(text)
             except OSError as exc:
                 print(f"error: cannot write {args.metrics_out}: {exc}",
                       file=sys.stderr)
@@ -447,16 +453,9 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         mark = "PASS" if r.passed else "FAIL"
         failures += 0 if r.passed else 1
         print(f"{r.figure:<{width}}  {mark}  {r.description}  [{r.detail}]")
-    # The cache verdict comes through the metrics registry (the same
-    # counters every other consumer reads), not raw dict plumbing.
-    from repro.obs.live import cache_counters
-    from repro.obs.registry import MetricsRegistry
-
-    reg = MetricsRegistry()
-    cache_counters(reg, cache_stats)
-    hits = int(reg.get("cache_hits").total())
-    misses = int(reg.get("cache_misses").total())
-    stores = int(reg.get("cache_stores").total())
+    hits, misses, stores = (
+        cache_stats.get(key, 0) for key in ("hits", "misses", "stores")
+    )
     print(
         f"\n{len(results) - failures}/{len(results)} figure checks passed — "
         f"cache: {hits} hits / {misses} misses / {stores} stored"

@@ -232,7 +232,7 @@ def run_selfcheck(
     ``use_cache`` overrides the ``REPRO_CACHE`` environment gate, and
     ``cache_dir`` relocates the run-cache store.  ``stats_out`` receives
     the batch's aggregated run-cache hit/miss/store counters (the CLI
-    summary line reports them through the metrics registry).
+    summary line prints them).
     """
     from repro.batch.pool import map_calls
 

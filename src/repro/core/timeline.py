@@ -13,12 +13,14 @@ Three renderers:
 - :func:`render_events` — the same lane layout over the run's full trace
   (any :class:`~repro.trace.Event` stream), so barrier arrivals, lock
   hand-offs and message edges appear between the prints.
-- :func:`render_trace` — lanes from a lockstep executor's scheduling
-  trace: ``#`` for running, ``.`` for blocked, so students can see the
-  token move between tasks and where everyone piled up at a barrier.
+- :func:`render_trace` — lanes from the scheduler's ``sched.*`` events
+  in a lockstep run's trace: ``#`` for running, ``b`` for blocked, so
+  students can see the token move between tasks and where everyone piled
+  up at a barrier.
 
 All are pure functions returning strings (printable anywhere, assertable
-in tests).  The CLI exposes them as ``patternlet trace``.
+in tests).  ``patternlet trace`` prints :func:`render_run`, or
+:func:`render_events` with ``--events``.
 """
 
 from __future__ import annotations
@@ -133,33 +135,36 @@ def render_events(
 
 
 def render_trace(
-    events: Iterable[tuple[str, str]],
+    source: "Iterable[Event] | TraceRecorder",
     *,
     max_steps: int = 120,
 ) -> str:
-    """Lanes from a lockstep scheduling trace.
+    """Lanes from the scheduling events of a lockstep run's trace.
 
-    Each ``run`` event paints one ``#`` step in the chosen task's lane
-    and a space in the others; ``block`` paints ``b`` at the moment a
-    task parked, ``wake`` paints ``w``, ``done`` paints ``x``.  Reading a
-    barrier run, every lane shows ``b``s accumulating until the last
-    arrival, then a burst of ``w``s — the barrier made visible.
+    Reads the ``sched.*`` events of any trace (``render_trace(run.trace)``
+    for a captured run).  Each ``sched.run`` paints one ``#`` step in the
+    chosen task's lane and a space in the others; ``sched.block`` paints
+    ``b`` at the moment a task parked, ``sched.wake`` paints ``w``,
+    ``sched.done`` paints ``x``.  Reading a barrier run, every lane shows
+    ``b``s accumulating until the last arrival, then a burst of ``w``s —
+    the barrier made visible.
     """
-    events = list(events)
-    steps = [e for e in events if e[0] in ("run", "block", "wake", "done")]
-    steps = steps[:max_steps]
+    from repro.trace import as_events
+
+    mark = {"sched.run": "#", "sched.block": "b", "sched.wake": "w",
+            "sched.done": "x"}
+    steps = [ev for ev in as_events(source) if ev.kind in mark][:max_steps]
     tasks: list[str] = []
-    for _, label in steps:
-        if label not in tasks:
-            tasks.append(label)
+    for ev in steps:
+        if ev.task not in tasks:
+            tasks.append(ev.task)
     if not tasks:
         return "(empty trace)"
     label_w = max(len(t) for t in tasks)
-    mark = {"run": "#", "block": "b", "wake": "w", "done": "x"}
     lanes = {t: [] for t in tasks}
-    for kind, label in steps:
+    for ev in steps:
         for t in tasks:
-            lanes[t].append(mark[kind] if t == label else " ")
+            lanes[t].append(mark[ev.kind] if t == ev.task else " ")
     body = "\n".join(f"{t:<{label_w}} | {''.join(lanes[t])}" for t in tasks)
     key = "key: # running   b blocked   w woken   x finished"
     return body + "\n" + key

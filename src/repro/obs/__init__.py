@@ -1,13 +1,12 @@
-"""Observability layer: metrics registry, derivation, probes, reports.
+"""Observability layer: metrics registry, derivation, reports.
 
-Two populations of the same registry vocabulary:
+Every counter is read from one record of a run, its event trace:
 
-- :mod:`repro.obs.live` — probes fed by hook sites on the scheduler and
-  transport hot paths (one ``None`` test when disabled);
 - :mod:`repro.obs.derive` — a pure post-hoc pass over any trace, so
-  cache-served and pickled runs yield byte-identical metrics.
-
-Plus :mod:`repro.obs.report`, the self-contained HTML run report.
+  live, pooled and cache-served runs yield byte-identical metrics;
+- :mod:`repro.obs.registry` — the counter/gauge/histogram families and
+  their OpenMetrics text form;
+- :mod:`repro.obs.report` — the self-contained HTML run report.
 """
 
 from repro.obs.derive import (
@@ -17,7 +16,6 @@ from repro.obs.derive import (
     run_metrics,
     run_summary,
 )
-from repro.obs.live import Probe, probing
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -32,12 +30,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Probe",
     "blocked_intervals",
     "derive_metrics",
     "metrics_dict",
     "parse_openmetrics",
-    "probing",
     "render_report",
     "run_metrics",
     "run_summary",

@@ -30,7 +30,7 @@ from __future__ import annotations
 import html
 from typing import Any, Iterable
 
-from repro.obs.derive import blocked_intervals, run_metrics, run_summary
+from repro.obs.derive import _run_registry, blocked_intervals, run_summary
 from repro.trace.events import Event, as_events
 from repro.trace.export import display_task_name
 
@@ -445,7 +445,7 @@ def render_report(run: Any) -> str:
     """Render one :class:`CapturedRun` into self-contained HTML text."""
     events = as_events(run.trace)
     summary = run_summary(events, tasks_hint=run.meta.get("tasks"))
-    reg = run_metrics(run)
+    reg = _run_registry(run, summary)
     info = reg.info
     meta_bits = []
     for field in ("patternlet", "backend", "mode", "tasks", "seed"):

@@ -96,15 +96,6 @@ optimises:
     both arms see the same machine state.  The speedup is the number the
     tentpole promises (≥ 2x warm).
 
-``metrics_overhead_pct``
-    How much of the un-instrumented message throughput the live metrics
-    probes (:mod:`repro.obs.live`) cost, interleaved A/B.  Gated
-    *absolutely* against :data:`METRICS_OVERHEAD_BUDGET_PCT` (6%)
-    regardless of the baseline file, so instrumentation can never
-    silently eat the hot path.  The probe hooks are bound C appends
-    with deferred aggregation, which is what holds the measured cost in
-    the documented ~3-5% envelope.
-
 All engine benchmarks run under ``muted()`` so they measure the engine,
 not the trace recorder; the trace fast path is itself covered because
 muting is exactly the one-attribute-read guard the emit sites take.
@@ -143,14 +134,12 @@ from repro.trace import muted
 __all__ = [
     "HIGHER_IS_BETTER",
     "LOWER_IS_BETTER",
-    "METRICS_OVERHEAD_BUDGET_PCT",
     "SCHEMA",
     "bench_allreduce_latency",
     "bench_batch_suite",
     "bench_bcast_latency",
     "bench_figure_suite",
     "bench_large_np_suite",
-    "bench_metrics_overhead",
     "bench_msg_throughput",
     "bench_np1024_spmd",
     "bench_run_setup",
@@ -193,11 +182,6 @@ LOWER_IS_BETTER = (
     "serve_p99_ms",
 )
 
-#: Absolute ceiling (percent) for live-probe hot-path overhead.  Fixed,
-#: not tolerance-derived: the documented probe cost is ~3-5%, so 6% is
-#: one honest notch of headroom, and a probe redesign that regresses past
-#: it fails every ``--check`` no matter what baseline file is used.
-METRICS_OVERHEAD_BUDGET_PCT = 6.0
 
 def bench_msg_throughput(payload: Any = 12345, *, n: int = 3000, batch: int = 1) -> float:
     """Messages/second for a rank0→rank1 stream of ``payload`` copies.
@@ -580,44 +564,6 @@ def bench_selfcheck_ab(*, rounds: int = 3) -> dict[str, float]:
     }
 
 
-def bench_metrics_overhead(*, quick: bool = False, rounds: int = 3) -> float:
-    """Live-probe overhead on the hottest path, as a percentage.
-
-    Interleaved A/B over the immutable message stream: one arm with no
-    probe installed (the engine's ``_live.probe is None`` fast path), one
-    arm under :func:`repro.obs.live.probing`.  Each round measures its
-    two arms back to back and yields one probed/base ratio — adjacent
-    measurements share machine conditions, so a per-round ratio is far
-    more stable than comparing bests across rounds.  The reported
-    overhead is the *minimum* across rounds: interference (GC, a noisy
-    neighbour) can only depress one arm and inflate the apparent
-    overhead, never hide real hook cost that is paid in every round.
-    The result is how much of the un-instrumented throughput the live
-    metrics hooks cost — gated absolutely in :func:`compare` against
-    :data:`METRICS_OVERHEAD_BUDGET_PCT` (6%), tighter than the
-    regression tolerance because the probe's cost is a design property
-    of the hooks, not a machine property.
-    """
-    from repro.obs.live import probing
-
-    n = 3000 // (5 if quick else 1)
-    best_ratio = 0.0
-    for i in range(rounds):
-        # Alternate arm order: a multi-round noise burst then lands on
-        # each arm equally instead of depressing one arm every round.
-        if i % 2:
-            with probing():
-                probed = bench_msg_throughput(12345, n=n)
-            base = bench_msg_throughput(12345, n=n)
-        else:
-            base = bench_msg_throughput(12345, n=n)
-            with probing():
-                probed = bench_msg_throughput(12345, n=n)
-        if base > 0:
-            best_ratio = max(best_ratio, probed / base)
-    return round(max(0.0, (1.0 - best_ratio) * 100), 2)
-
-
 def run_benchmarks(
     *,
     quick: bool = False,
@@ -716,11 +662,6 @@ def run_benchmarks(
     out.update(bench_serve(quick=quick, rounds=1 if quick else 3))
     note("selfcheck cold/warm interleaved A/B")
     out.update(bench_selfcheck_ab(rounds=1 if quick else 3))
-    note("live metrics probe overhead A/B")
-    # Always 7 rounds: the min-across-rounds estimator needs several
-    # probed/base pairs to shed interference, and quick mode already
-    # shrinks the per-round message count 5x.
-    out["metrics_overhead_pct"] = bench_metrics_overhead(quick=quick, rounds=7)
     return out
 
 
@@ -866,15 +807,6 @@ def compare(
     passing check.
     """
     failures: list[str] = []
-    # The probe-overhead gate is absolute (no baseline needed): the live
-    # metrics hooks must stay inside METRICS_OVERHEAD_BUDGET_PCT of the
-    # hot path, whatever machine measured it.
-    overhead = current.get("metrics_overhead_pct")
-    if overhead is not None and overhead > METRICS_OVERHEAD_BUDGET_PCT:
-        failures.append(
-            f"metrics_overhead_pct: live-probe overhead {overhead:.1f}% "
-            f"exceeds the {METRICS_OVERHEAD_BUDGET_PCT:.0f}% hot-path budget"
-        )
     for name in (*HIGHER_IS_BETTER, *LOWER_IS_BETTER):
         if name not in current or name not in baseline:
             if on_skip is not None and name in current:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ParallelError, TaskFailedError
 
@@ -250,12 +250,3 @@ class Executor(ABC):
         failures = group.failures()
         if failures:
             raise ParallelError(failures)
-
-    def steps(self) -> Iterator[tuple[str, str]]:
-        """Iterate over recorded scheduling events (lockstep only).
-
-        The threaded executor records nothing and yields nothing; the
-        lockstep executor yields ``(event, task_label)`` pairs in order,
-        which the visualisation helpers use to draw interleaving diagrams.
-        """
-        return iter(())

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, insort
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import DeadlockError, ParallelError, SchedulerError
 from repro.sched.pool import lease as _pool_lease, prepare_many as _pool_prepare_many
@@ -80,10 +80,8 @@ from repro.sched.base import (
     resolve_describe,
     set_task_label,
 )
-from repro.obs import live as _live
 from repro.sched.policy import Policy, RandomPolicy
 from repro.trace import events as _trace_events
-from repro.trace.events import active as _trace_active, emit as _trace_emit
 
 __all__ = ["LockstepExecutor"]
 
@@ -145,10 +143,6 @@ class LockstepExecutor(Executor):
     """Deterministic, seed-replayable cooperative executor."""
 
     mode = "lockstep"
-
-    #: Trace entries beyond this are dropped (the trace is a teaching aid,
-    #: not a log; unbounded growth would bloat long benchmark runs).
-    TRACE_LIMIT = 200_000
 
     def __init__(
         self,
@@ -216,14 +210,9 @@ class LockstepExecutor(Executor):
         self._next_tid = 0
         self._steps = 0
         self._aborted: BaseException | None = None
-        self._trace: list[tuple[str, str]] = []
         self._tls = threading.local()
 
     # -- introspection -------------------------------------------------------
-
-    def steps(self) -> Iterator[tuple[str, str]]:
-        """Recorded ``(event, task_label)`` scheduling trace, in order."""
-        return iter(list(self._trace))
 
     @property
     def step_count(self) -> int:
@@ -422,15 +411,9 @@ class LockstepExecutor(Executor):
                 nxt.status = _RUNNING
                 nxt.quantum = self._quantum
                 self._current = nxt.tid
-                trace = self._trace
-                if len(trace) < self.TRACE_LIMIT:
-                    trace.append(("run", nxt.label))
                 rec = _trace_events._top
                 if rec is not None and rec.recording:
                     rec.emit("sched.run", task=nxt.label)
-                p = _live.probe
-                if p is not None:
-                    p.run(nxt.label)
                 s = nxt.start
                 if s is None:
                     nxt.sem.release()
@@ -463,15 +446,9 @@ class LockstepExecutor(Executor):
                 me.pred = pred
                 me.describe = describe
                 self._blocked[me.tid] = me
-                trace = self._trace
-                if len(trace) < self.TRACE_LIMIT:
-                    trace.append(("block", me.label))
                 rec = _trace_events._top
                 if rec is not None and rec.recording:
                     rec.emit("sched.block", task=me.label)
-                p = _live.probe
-                if p is not None:
-                    p.block(me.label)
                 # _pick_next_locked + _hand_token_locked inlined, as in
                 # checkpoint(): this block runs once per blocked receive.
                 # *me* is skipped in the promote pass — its predicate was
@@ -514,14 +491,9 @@ class LockstepExecutor(Executor):
                     nxt.status = _RUNNING
                     nxt.quantum = self._quantum
                     self._current = nxt.tid
-                    if len(trace) < self.TRACE_LIMIT:
-                        trace.append(("run", nxt.label))
                     rec = _trace_events._top
                     if rec is not None and rec.recording:
                         rec.emit("sched.run", task=nxt.label)
-                    p = _live.probe
-                    if p is not None:
-                        p.run(nxt.label)
                     s = nxt.start
                     if s is None:
                         nxt.sem.release()
@@ -574,15 +546,6 @@ class LockstepExecutor(Executor):
         self.checkpoint()
 
     # -- internals -----------------------------------------------------------
-
-    def _trace_add(self, entry: tuple[str, str]) -> None:
-        if len(self._trace) < self.TRACE_LIMIT:
-            self._trace.append(entry)
-        # Mirror every scheduling decision onto the run's event spine (a
-        # no-op when no recorder is ambient).  The event is *about*
-        # entry[1]'s task, not necessarily emitted by its thread.
-        if _trace_active():
-            _trace_emit(f"sched.{entry[0]}", task=entry[1])
 
     def _current_state(self) -> _TaskState | None:
         # TLS holds the state object itself (not a tid needing a dict
@@ -644,16 +607,9 @@ class LockstepExecutor(Executor):
         nxt.status = _RUNNING
         nxt.quantum = self._quantum
         self._current = nxt.tid
-        # _trace_add inlined: this runs once per switch.
-        trace = self._trace
-        if len(trace) < self.TRACE_LIMIT:
-            trace.append(("run", nxt.label))
         rec = _trace_events._top
         if rec is not None and rec.recording:
             rec.emit("sched.run", task=nxt.label)
-        p = _live.probe
-        if p is not None:
-            p.run(nxt.label)
         s = nxt.start
         if s is None:
             nxt.sem.release()
@@ -682,15 +638,9 @@ class LockstepExecutor(Executor):
                 promoted = [tid]
             else:
                 promoted.append(tid)
-            trace = self._trace
-            if len(trace) < self.TRACE_LIMIT:
-                trace.append(("wake", st.label))
             rec = _trace_events._top
             if rec is not None and rec.recording:
                 rec.emit("sched.wake", task=st.label)
-            p = _live.probe
-            if p is not None:
-                p.wake(st.label)
         if promoted is not None:
             for tid in promoted:
                 del blocked[tid]
@@ -717,7 +667,9 @@ class LockstepExecutor(Executor):
             st.status = _DONE
             st.quantum = 0
             self._undone -= 1
-            self._trace_add(("done", st.label))
+            rec = _trace_events._top
+            if rec is not None and rec.recording:
+                rec.emit("sched.done", task=st.label)
             st.group.remaining -= 1
             group_done = st.group.remaining == 0
             self._current = None

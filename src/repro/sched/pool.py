@@ -273,7 +273,8 @@ class RankThreadPool:
 
 
 #: The process-wide pool.  Read through the module (``_pool.get_pool()``)
-#: so fork resets are visible everywhere, mirroring ``obs.live.probe``.
+#: so fork resets are visible everywhere, as with the trace's ambient
+#: recorder (``repro.trace.events._top``).
 _POOL = RankThreadPool()
 
 

@@ -592,8 +592,10 @@ class PatternletService:
         coalesce with each other *and* with concurrent ``/run`` traffic.
         """
         t0 = time.monotonic()
+        keys = [spec_key(spec) for spec in specs]
         results = await asyncio.gather(
-            *(self.serve_run(spec) for spec in specs), return_exceptions=True)
+            *(self.serve_run(spec, key) for spec, key in zip(specs, keys)),
+            return_exceptions=True)
         cells = []
         errors = 0
         for spec, res in zip(specs, results):
@@ -628,7 +630,7 @@ class PatternletService:
         self._store_report(report_key, report)
         summary = dict(report)
         summary.pop("cells")
-        summary["distinct_cells"] = len({spec_key(s) for s in specs})
+        summary["distinct_cells"] = len(set(keys))
         return (200 if errors == 0 else 500), _dumps(summary)
 
     # -- payload construction ------------------------------------------------

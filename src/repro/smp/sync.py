@@ -27,8 +27,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.errors import TeamBrokenError
-from repro.obs import live as _live
-from repro.sched.base import current_task_label as _task_label
 from repro.trace.events import active as _trace_active, emit as _trace_emit
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,9 +67,6 @@ class TeamBarrier:
                 vtime=ctx.vtime,
                 hb_rel=("barrier", team.scope, gen),
             )
-            p = _live.probe
-            if p is not None:
-                p.barrier(_task_label() or "main")
             self._count += 1
             last = self._count == team.size
             if last:
@@ -140,9 +135,6 @@ class TicketLock:
                 vtime=ctx.vtime,
                 hb_acq=("critical", team.scope, self.name),
             )
-        p = _live.probe
-        if p is not None:
-            p.critical(_task_label() or "main")
 
     def release(self, ctx: "ExecutionContext") -> None:
         """Serve the next ticket and wake its holder."""
@@ -213,9 +205,6 @@ class AtomicGuard:
     def release(self, ctx: "ExecutionContext") -> None:
         """Release the guard, counting the completed update."""
         self.updates += 1
-        p = _live.probe
-        if p is not None:
-            p.atomic(_task_label() or "main")
         # Emit while still holding the guard so the next acquire event
         # cannot precede this release in stream order.
         if _trace_active():

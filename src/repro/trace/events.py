@@ -13,7 +13,10 @@ lockstep scheduling trace) is a *view* over this one stream:
   virtual timestamps;
 - :mod:`repro.trace.hb` grows vector clocks from the ``hb_rel``/``hb_acq``
   edges and proves (or refutes) data races;
-- :mod:`repro.trace.export` serialises the stream for Chrome's trace viewer.
+- :mod:`repro.trace.export` serialises the stream for Chrome's trace viewer;
+- :func:`repro.core.timeline.render_trace` draws the lockstep scheduler's
+  ``sched.*`` events, and :mod:`repro.obs.derive` counts every run metric
+  from the stream.
 
 Recorders are *ambient*: a module-level stack names the recorder currently
 collecting events, and :func:`emit` appends to the top of that stack (or

@@ -4,7 +4,7 @@ from repro.core.capture import CapturedRun, capture_run
 from repro.core.timeline import lane_order, render_events, render_run, render_trace
 from repro.sched import make_executor
 from repro.smp import SmpRuntime
-from repro.trace import TraceRecorder
+from repro.trace import TraceRecorder, using_recorder
 
 
 def fake_run(records):
@@ -133,11 +133,19 @@ class TestLockstepTraceDeterminism:
         assert lanes[0] == "main"  # region.fork is the first event
 
 
+def sched_trace(*steps):
+    rec = TraceRecorder()
+    for kind, task in steps:
+        rec.emit(f"sched.{kind}", task=task)
+    return rec
+
+
 class TestRenderTrace:
     def test_marks(self):
-        events = [("run", "a"), ("block", "a"), ("run", "b"), ("wake", "a"),
-                  ("run", "a"), ("done", "a"), ("done", "b")]
-        out = render_trace(events)
+        rec = sched_trace(("run", "a"), ("block", "a"), ("run", "b"),
+                          ("wake", "a"), ("run", "a"), ("done", "a"),
+                          ("done", "b"))
+        out = render_trace(rec)
         a_lane = next(l for l in out.splitlines() if l.startswith("a"))
         assert "#" in a_lane and "b" in a_lane and "x" in a_lane
 
@@ -146,12 +154,31 @@ class TestRenderTrace:
 
     def test_real_lockstep_trace(self):
         ex = make_executor("lockstep", seed=2)
-        ex.run_tasks([lambda: None] * 2, ["t0", "t1"])
-        out = render_trace(ex.steps())
+        with using_recorder() as rec:
+            ex.run_tasks([lambda: None] * 2, ["t0", "t1"])
+        out = render_trace(rec)
         assert "t0" in out and "t1" in out and "key:" in out
 
     def test_max_steps_cap(self):
-        events = [("run", "a")] * 500
-        out = render_trace(events, max_steps=20)
+        out = render_trace(sched_trace(*[("run", "a")] * 500), max_steps=20)
         lane = out.splitlines()[0]
         assert lane.count("#") == 20
+
+    def test_non_scheduling_events_draw_nothing(self):
+        rec = sched_trace(("run", "a"))
+        rec.emit("io.print", task="b", line="hi")
+        assert render_trace(rec).splitlines()[0] == "a | #"
+
+    def test_captured_barrier_run(self):
+        # The students' recipe: no executor built by hand, the run's own
+        # trace carries the schedule.  Pinned lanes for seed 0.
+        from repro.core.registry import run_patternlet
+
+        run = run_patternlet(
+            "openmp.barrier", tasks=3, toggles={"barrier": True}, seed=0
+        )
+        assert render_trace(run.trace).splitlines()[:3] == [
+            "omp:1 | #b    w #x     ",
+            "omp:0 |   #  #     #x  ",
+            "omp:2 |    #b  w  #  #x",
+        ]

@@ -1,5 +1,7 @@
 """Post-hoc metric derivation from the trace spine."""
 
+import pytest
+
 from repro.core.registry import run_patternlet
 from repro.obs import blocked_intervals, derive_metrics, run_summary
 from repro.trace import TraceRecorder
@@ -142,6 +144,53 @@ class TestMetricsDict:
         doc = derive.metrics_dict(run)
         assert len(calls) == 1
         assert doc["summary"] == real(run.trace, tasks_hint=run.meta.get("tasks"))
+
+    def test_report_derives_the_summary_once(self, monkeypatch):
+        import repro.obs.derive as derive
+        import repro.obs.report as report
+
+        run = run_patternlet("openmp.reduction", toggles={"parallel_for": True}, seed=1)
+        real = derive.run_summary
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(derive, "run_summary", counting)
+        monkeypatch.setattr(report, "run_summary", counting)
+        html = report.render_report(run)
+        assert len(calls) == 1
+        assert "races_detected" in html
+
+
+def _per_task(reg, family):
+    return {dict(labels)["task"]: v for labels, v in reg.get(family).samples.items()}
+
+
+class TestCountersOnRealRuns:
+    """Counts the programs fix, whatever the interleaving: each
+    patternlet's loop bounds and message pattern set them."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_fixed_by_the_program(self, seed):
+        omp = [f"omp:{i}" for i in range(4)]
+        for name, family, per_task in (
+            ("critical", "critical_acquisitions", 50),
+            ("atomic", "atomic_updates", 50),
+            ("barrier", "barrier_arrivals", 1),
+        ):
+            run = run_patternlet(
+                f"openmp.{name}", tasks=4, toggles={name: True}, seed=seed
+            )
+            got = _per_task(derive_metrics(run.trace), family)
+            assert got == dict.fromkeys(omp, per_task), name
+        run = run_patternlet("mpi.reduction", tasks=5, seed=seed)
+        reg = derive_metrics(run.trace)
+        assert _per_task(reg, "messages_sent") == {
+            f"mpi:{r}": 2 for r in range(1, 5)
+        }
+        assert sum(_per_task(reg, "messages_received").values()) == 8
 
 
 class TestLoopScheduleHistograms:

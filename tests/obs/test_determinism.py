@@ -1,9 +1,8 @@
 """The metrics byte-identity guarantee.
 
 Canonical metrics are a pure function of the trace plus identity meta,
-so (a) reruns of the same spec agree exactly, (b) serial, pooled, and
-cache-served executions agree byte-for-byte, and (c) the live probe and
-the post-hoc derivation count the same events.
+so (a) reruns of the same spec agree exactly and (b) serial, pooled, and
+cache-served executions agree byte-for-byte.
 """
 
 from __future__ import annotations
@@ -11,16 +10,13 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.batch.cache import RunCache, caching_runs
 from repro.batch.pool import run_specs, shutdown_pool
 from repro.batch.results import _memo_clear
 from repro.batch.specs import RunSpec
 from repro.core.registry import run_patternlet
-from repro.obs import derive_metrics, metrics_dict, probing
-from repro.obs import live as _live
+from repro.obs import metrics_dict
 
 
 def _canon(run) -> str:
@@ -90,92 +86,3 @@ class TestCacheServedIdentity:
             assert json.dumps(a.metrics, sort_keys=True) == json.dumps(
                 b.metrics, sort_keys=True
             )
-
-
-def _counter_values(reg, name):
-    fam = reg.get(name)
-    return dict(fam.labels_seen() and fam.samples or {}) if fam else {}
-
-
-class TestLiveDerivedAgreement:
-    """The probe (fed by engine hook sites) and the trace derivation
-    count the same events — values compared, exemplars ignored."""
-
-    NAMES = [
-        "sched_switches",
-        "sched_blocks",
-        "sched_wakes",
-        "messages_sent",
-        "message_bytes_sent",
-        "messages_received",
-        "message_bytes_received",
-        "barrier_arrivals",
-        "critical_acquisitions",
-        "atomic_updates",
-    ]
-
-    def _compare(self, name, tasks, seed, toggles=None):
-        with probing() as probe:
-            run = run_patternlet(name, tasks=tasks, seed=seed, toggles=toggles)
-        live = probe.to_registry()
-        derived = derive_metrics(run.trace)
-        for family in self.NAMES:
-            lf, df = live.get(family), derived.get(family)
-            assert (lf.samples if lf else {}) == (df.samples if df else {}), (
-                f"{family} disagrees for {name} seed={seed}"
-            )
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        name=st.sampled_from(
-            [
-                "openmp.spmd",
-                "openmp.barrier",
-                "openmp.parallelLoopDynamic",
-                "mpi.messagePassing",
-                "mpi.reduction",
-            ]
-        ),
-        tasks=st.integers(2, 5),
-        seed=st.integers(0, 50),
-    )
-    def test_live_equals_derived(self, name, tasks, seed):
-        self._compare(name, tasks, seed)
-
-    def test_critical_and_atomic_sites_agree(self):
-        # critical2 is excluded on purpose: it mutes its timing loop, so
-        # the probe sees events the trace (correctly) never records.
-        self._compare(
-            "openmp.critical", tasks=4, seed=0, toggles={"critical": True}
-        )
-        self._compare(
-            "openmp.atomic", tasks=4, seed=0, toggles={"atomic": True}
-        )
-
-    def test_barrier_site_agrees(self):
-        self._compare(
-            "openmp.barrier", tasks=4, seed=2, toggles={"barrier": True}
-        )
-
-
-class TestProbeLifecycle:
-    def test_probing_installs_and_removes(self):
-        assert _live.probe is None
-        with probing() as p:
-            assert _live.probe is p
-        assert _live.probe is None
-
-    def test_probes_do_not_nest(self):
-        with probing():
-            with pytest.raises(RuntimeError):
-                with probing():
-                    pass
-
-    def test_probe_counts_untraced_runs_too(self):
-        from repro.trace.events import muted
-
-        with probing() as p:
-            with muted():
-                run_patternlet("mpi.messagePassing", tasks=3, seed=0)
-        assert sum(p.msgs_sent.values()) == 3
-        assert sum(p.msgs_recvd.values()) == 3

@@ -74,17 +74,6 @@ class TestComparePolicy:
             "serve_p99_ms",
         }
 
-    def test_probe_overhead_gated_against_absolute_budget(self):
-        # metrics_overhead_pct is gated against the fixed 6% budget, with
-        # no baseline needed — tighter than the regression tolerance.
-        assert bench.METRICS_OVERHEAD_BUDGET_PCT == 6.0
-        over = dict(METRICS, metrics_overhead_pct=7.5)
-        failures = compare(over, METRICS)
-        assert len(failures) == 1
-        assert "6%" in failures[0]
-        under = dict(METRICS, metrics_overhead_pct=4.2)
-        assert compare(under, METRICS) == []
-
     def test_gated_metric_absent_from_baseline_warns_but_passes(self):
         # An older baseline file predating a gated metric must not fail
         # the check — but the un-armed gate is reported, not silent.

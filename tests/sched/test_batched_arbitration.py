@@ -17,6 +17,7 @@ from repro.errors import DeadlockError, ParallelError
 from repro.mp import mpirun
 from repro.sched.lockstep import LockstepExecutor
 from repro.sched.policy import RandomPolicy
+from repro.trace import using_recorder
 
 
 def _spinner_trace(seed: int, batch: int, tasks: int = 3, k: int = 40):
@@ -26,8 +27,10 @@ def _spinner_trace(seed: int, batch: int, tasks: int = 3, k: int = 40):
         for _ in range(k):
             ex.checkpoint()
 
-    ex.run_tasks([body] * tasks, [f"t{i}" for i in range(tasks)])
-    return list(ex.steps()), ex.step_count
+    with using_recorder() as rec:
+        ex.run_tasks([body] * tasks, [f"t{i}" for i in range(tasks)])
+    steps = [(ev.kind, ev.task) for ev in rec.events() if ev.kind.startswith("sched.")]
+    return steps, ex.step_count
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DeadlockError, ParallelError, SchedulerError
 from repro.sched import LockstepExecutor, ThreadExecutor, make_executor
 from repro.sched.base import current_task_label
+from repro.trace import using_recorder
 
 
 def make(mode):
@@ -248,9 +249,10 @@ class TestLockstepDeterminism:
 
     def test_trace_records_events(self):
         ex = make_executor("lockstep", seed=3)
-        ex.run_tasks([lambda: None] * 2, ["a", "b"])
-        events = list(ex.steps())
-        assert ("done", "a") in events and ("done", "b") in events
+        with using_recorder() as rec:
+            ex.run_tasks([lambda: None] * 2, ["a", "b"])
+        events = [(ev.kind, ev.task) for ev in rec.events()]
+        assert ("sched.done", "a") in events and ("sched.done", "b") in events
 
     def test_step_limit_aborts_livelock(self):
         ex = LockstepExecutor(max_steps=100)

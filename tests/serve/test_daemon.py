@@ -100,6 +100,26 @@ class TestRoutes:
                 assert headers["x-patternlet-served"] == tier
                 assert len(calls) == 1
 
+    def test_sweep_keys_each_cell_once(self, tmp_path, monkeypatch):
+        import repro.serve.daemon as daemon_mod
+        import repro.serve.service as service_mod
+        from repro.batch.specs import spec_key
+
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return spec_key(spec)
+
+        monkeypatch.setattr(daemon_mod, "spec_key", counting)
+        monkeypatch.setattr(service_mod, "spec_key", counting)
+        grid = {"patternlets": ["mpi.reduction"], "np": [2, 4],
+                "seeds": [0, 1]}
+        with running(cache_dir=str(tmp_path)) as daemon:
+            status, _, doc = _request(daemon.port, "POST", "/sweep", grid)
+        assert status == 200 and doc["distinct_cells"] == 4
+        assert len(calls) == 4
+
     def test_sweep_summary_and_stored_report(self, tmp_path):
         with running(cache_dir=str(tmp_path)) as daemon:
             grid = {"patternlets": ["mpi.reduction"], "np": [2, 4],

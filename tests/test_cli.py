@@ -319,6 +319,28 @@ class TestMetricsFlag:
         ) == 0
         parse_openmetrics(path.read_text())  # strict; must not raise
 
+    def test_metrics_and_metrics_out_build_the_registry_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.obs as obs
+
+        real = obs.run_metrics
+        calls = []
+
+        def counting(run):
+            calls.append(1)
+            return real(run)
+
+        monkeypatch.setattr(obs, "run_metrics", counting)
+        path = tmp_path / "metrics.prom"
+        assert main(
+            ["run", "openmp.spmd", "--tasks", "2", "--metrics",
+             "--metrics-out", str(path)]
+        ) == 0
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(path.read_text())
+
 
 class TestReportCommand:
     def test_report_writes_self_contained_html(self, tmp_path, capsys, monkeypatch):
