@@ -13,9 +13,8 @@ already seen:
   (``~/.cache/repro-runs``) and the ``run_patternlet`` interceptor that
   serves it; multi-writer safe, so many processes share one root;
 - :mod:`repro.batch.results` — byte-faithful run records (full event
-  trace, span, and the text, summary and race verdict a sweep reports),
-  the spec/outcome wire codecs the serve daemon's worker lanes use, and
-  batch summaries;
+  trace, span, and the text, summary and race verdict a sweep reports)
+  and batch summaries;
 - :mod:`repro.batch.pool` — the warm ``ProcessPoolExecutor`` fan-out
   with an in-process serial twin.
 
@@ -32,12 +31,8 @@ from repro.batch.results import (
     RunOutcome,
     decode_value,
     encode_value,
-    outcome_from_wire,
-    outcome_to_wire,
     run_from_record,
     run_to_record,
-    spec_from_wire,
-    spec_to_wire,
 )
 from repro.batch.specs import (
     FIGURE_RUNS,
@@ -65,14 +60,10 @@ __all__ = [
     "figure_suite_specs",
     "key_for_config",
     "map_calls",
-    "outcome_from_wire",
-    "outcome_to_wire",
     "run_from_record",
     "run_specs",
     "run_to_record",
     "shutdown_pool",
-    "spec_from_wire",
     "spec_key",
-    "spec_to_wire",
     "sweep_fingerprint",
 ]

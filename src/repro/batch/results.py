@@ -72,13 +72,9 @@ __all__ = [
     "memo_record",
     "outcome_from_record",
     "outcome_from_run",
-    "outcome_from_wire",
-    "outcome_to_wire",
     "run_from_entry",
     "run_from_record",
     "run_to_record",
-    "spec_from_wire",
-    "spec_to_wire",
 ]
 
 #: Bumped whenever the record layout changes; mismatched records are
@@ -340,87 +336,6 @@ def _rebuild(events: tuple[Event, ...], record: Mapping[str, Any]) -> CapturedRu
     if result_wire is not None:
         run.result = decode_value(result_wire["value"])
     return run
-
-
-# -- spec and outcome wire forms (the serve daemon's worker lanes) ------------
-
-
-def spec_to_wire(spec: Any) -> dict[str, Any]:
-    """A :class:`~repro.batch.specs.RunSpec` as one plain-JSON document.
-
-    The serve daemon hands each execution to a worker lane as this
-    document rather than a pickle — the same codec discipline as cache
-    records.  Raises :class:`~repro.errors.CacheUnserializable` for
-    extras outside the record vocabulary.
-    """
-    return {
-        "patternlet": spec.patternlet,
-        "tasks": spec.tasks,
-        "toggles": [[k, bool(v)] for k, v in spec.toggles],
-        "mode": spec.mode,
-        "seed": spec.seed,
-        "policy": spec.policy,
-        "extra": encode_value(spec.extra_dict),
-        "topology": spec.topology,
-    }
-
-
-def spec_from_wire(wire: Mapping[str, Any]) -> Any:
-    """Inverse of :func:`spec_to_wire`."""
-    from repro.batch.specs import RunSpec
-
-    return RunSpec(
-        patternlet=wire["patternlet"],
-        tasks=wire["tasks"],
-        toggles=tuple((k, bool(v)) for k, v in wire["toggles"]),
-        mode=wire["mode"],
-        seed=wire["seed"],
-        policy=wire["policy"],
-        extra=tuple(sorted(decode_value(wire["extra"]).items())),
-        topology=wire["topology"],
-    )
-
-
-def outcome_to_wire(outcome: "RunOutcome") -> dict[str, Any]:
-    """A :class:`RunOutcome` as one plain-JSON document (lane results).
-
-    ``metrics`` is best-effort like a record's ``result`` field: a
-    summary that will not serialise is shipped as absent rather than
-    failing the cell — every consumer of per-cell metrics already
-    tolerates ``None`` (uncacheable thread-mode runs have no metrics
-    either).
-    """
-    try:
-        metrics = encode_value(outcome.metrics) if outcome.metrics is not None else None
-    except CacheUnserializable:
-        metrics = None
-    return {
-        "spec": spec_to_wire(outcome.spec),
-        "key": outcome.key,
-        "cached": outcome.cached,
-        "text": outcome.text,
-        "span": outcome.span,
-        "wall": outcome.wall,
-        "races": outcome.races,
-        "error": outcome.error,
-        "metrics": metrics,
-    }
-
-
-def outcome_from_wire(wire: Mapping[str, Any]) -> "RunOutcome":
-    """Inverse of :func:`outcome_to_wire`."""
-    metrics = wire.get("metrics")
-    return RunOutcome(
-        spec=spec_from_wire(wire["spec"]),
-        key=wire["key"],
-        cached=bool(wire["cached"]),
-        text=wire["text"],
-        span=wire["span"],
-        wall=wire["wall"],
-        races=wire["races"],
-        error=wire.get("error"),
-        metrics=decode_value(metrics) if metrics is not None else None,
-    )
 
 
 # -- batch summaries ----------------------------------------------------------

@@ -308,9 +308,9 @@ class Comm:
         else:
             packet = pack_packet(obj)
             # Only by-ref packets are memoisable: identity plus immutability
-            # make reuse safe.  A CoW packet must NOT be memoised — its
-            # snapshot captures send-time state, and the sender may mutate
-            # the (same-identity) container between two sends.
+            # make reuse safe.  A copying packet must NOT be memoised — it
+            # captures send-time state, and the sender may mutate the
+            # (same-identity) container between two sends.
             if packet.kind is KIND_REF:
                 self._pk_obj = obj
                 self._pk = packet

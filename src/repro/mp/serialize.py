@@ -1,4 +1,4 @@
-"""Copy-on-send payload isolation — now mostly without the copy.
+"""Copy-on-send payload isolation, down the cheapest sound lane.
 
 Distributed memory is an *isolation* property: ranks share no address
 space, so a message received is always a private copy.  Rank threads here
@@ -15,34 +15,44 @@ LogP cost model, so "bigger payloads cost more virtual time" falls out for
 free (buffer payloads charge their exact byte count instead — no pickle
 framing).
 
-:func:`pack_packet` picks one of four transport lanes, cheapest first
-(mpi4py's buffer-protocol shortcut and MPJ Express's buffer-based
-messaging are the precedents):
+:func:`pack_packet` picks a lane from the payload's type alone.  Raw
+buffers travel as bytes and objects as serialised copies — the split
+mpi4py and MPJ Express make — with two shortcuts that each beat the
+pickle fallback on the payload shape they serve.  Each reason below is a
+lane-vs-pickle ablation on its gated message-stream benchmark (2-vCPU
+KVM, Python 3.11.7; medians of 12 alternating pairs, best of 3 per
+sample; DESIGN.md §3.11 has the table, including the retired
+copy-on-write lane):
 
-1. **By reference** (zero cost) — immutable payloads: the scalars
-   ``int``/``float``/``str``/``bytes``/``bool``/``complex``/``None``,
-   ``range``, and ``tuple``/``frozenset`` trees composed only of those.
-   The receiver cannot mutate the object, so sharing the reference is
-   observationally identical to a copy.  Exact-type checks only: a
-   *subclass* of ``int`` may carry mutable attributes and pays the pickle.
-   The pickle size needed by the LogP model is computed lazily (and
-   race-free — forwarded packets are sized from concurrent receivers).
-2. **Buffer snapshot** (one ``memcpy``) — ``bytearray``, ``array.array``
-   and ``memoryview`` payloads are captured as raw bytes at send time and
-   rebuilt per receiver (``memoryview`` receivers get a read-only
-   zero-copy view over the snapshot).  The LogP size is the exact
-   ``nbytes``.
-3. **Copy-on-write snapshot** (structural copy, no pickle) — ``list``/
-   ``dict``/``set`` trees (and tuples containing them) are frozen into a
-   private snapshot shared by *all* receivers, each of which unwraps it
-   behind a :mod:`repro.mp.cow` proxy that materialises private storage
-   on first touch.  Most patternlet receivers only read, so the deep copy
-   usually never happens — and a tree broadcast of a mutable payload now
-   serialises *zero* times instead of O(receivers).
-4. **Pickle** (the original PR 2 path) — everything else: custom classes,
-   container subclasses, pathological nesting.  Still packed exactly once
-   per send and forwarded hop to hop (:class:`Packet`), unpacking only at
-   each final receiver.
+============  =========================================  ===================================
+Lane          Payload shape                              Why it stays
+============  =========================================  ===================================
+``ref``       ``int``/``float``/``str``/``bytes``/       Zero cost: the receiver cannot
+              ``bool``/``complex``/``None``, ``range``,  mutate the object, so the
+              and ``tuple``/``frozenset`` trees of       reference is the copy.  An ``int``
+              those                                      stream at ``batch=1`` runs
+                                                         70.2k msgs/s vs 60.6k pickled.
+``cow-flat``  ``list`` whose items are all the scalars   One shallow copy per side is the
+              above                                      deep copy: 184k vs 159k msgs/s on
+                                                         ``[1, 2, 3]``, 103k vs 87k on a
+                                                         64-item list.
+``cow-move``  a ``cow-flat`` packet born in              The receiver takes the snapshot
+              :meth:`~repro.mp.comm.Comm.send`           instead of copying it (counted in
+                                                         the ``cow-flat`` numbers).
+``buffer``    ``bytearray``, ``array.array``,            The only path for ``memoryview``;
+              ``memoryview``                             charges the exact ``nbytes`` to
+                                                         the LogP model; 51.2k vs 45.1k
+                                                         msgs/s on 16 KiB.
+``pickle``    everything else: nested containers,        The fallback, and the definition
+              custom classes, container subclasses       of isolation.
+============  =========================================  ===================================
+
+Exact-type checks only: a *subclass* of ``int`` or ``list`` may carry
+mutable attributes and pays the pickle.  Every lane packs exactly once
+per send, and the packet is forwarded hop to hop (:class:`Packet`),
+unpacking only at each final receiver.  The ``cow-*`` names survive from
+a retired copy-on-write lane for nested containers; the benchmark counts
+lanes by these strings.
 """
 
 from __future__ import annotations
@@ -53,14 +63,6 @@ from array import array
 from typing import Any
 
 from repro.errors import IsolationError
-from repro.mp.cow import (
-    COW_PROXY_TYPES,
-    CowDict,
-    CowList,
-    NotCowable,
-    freeze,
-    thaw,
-)
 
 __all__ = [
     "pack",
@@ -72,7 +74,6 @@ __all__ = [
     "KIND_REF",
     "KIND_PICKLE",
     "KIND_BUFFER",
-    "KIND_COW",
     "KIND_COW_FLAT",
     "KIND_COW_MOVE",
 ]
@@ -82,14 +83,12 @@ __all__ = [
 #: mutable ``__dict__``), which is why membership tests use ``type(obj)``.
 _IMMUTABLE_SCALARS = frozenset((int, float, str, bytes, bool, complex, type(None)))
 
-#: Transport lanes (``Packet.kind``).  ``cow-flat`` is the degenerate CoW
-#: case — a flat list of immutable scalars, the single most common mutable
-#: payload shape — where one shallow copy per side *is* the deep copy and
-#: beats the proxy machinery outright.
+#: Transport lanes (``Packet.kind``).  ``cow-flat`` carries a flat list of
+#: immutable scalars — the single most common mutable payload shape —
+#: where one shallow copy per side *is* the deep copy.
 KIND_REF = "ref"
 KIND_PICKLE = "pickle"
 KIND_BUFFER = "buffer"
-KIND_COW = "cow"
 KIND_COW_FLAT = "cow-flat"
 #: A ``cow-flat`` packet that the point-to-point send path has marked as
 #: single-consumer (born in ``comm.send``, taken by exactly one ``recv``):
@@ -103,10 +102,11 @@ _BUF_BYTEARRAY = "bytearray"
 _BUF_MEMORYVIEW = "memoryview"
 _BUF_ARRAY = "array:"  # + typecode
 
-#: Guards lazy ``Packet.size`` memoisation.  A forwarded by-ref/CoW packet
-#: is shared by several receiver ranks; under the threaded executor two of
-#: them can resolve ``_size`` concurrently.  One process-wide lock (sizing
-#: is rare and cheap) makes the pack run exactly once per packet.
+#: Guards lazy ``Packet.size`` memoisation.  A forwarded by-ref or
+#: flat-list packet is shared by several receiver ranks; under the threaded
+#: executor two of them can resolve ``_size`` concurrently.  One
+#: process-wide lock (sizing is rare and cheap) makes the pack run exactly
+#: once per packet.
 _SIZE_LOCK = threading.Lock()
 
 
@@ -159,18 +159,17 @@ class Packet:
 
     ``kind`` names the lane: ``"ref"`` (``obj`` is the immutable payload
     itself), ``"pickle"`` (``data`` holds the pickle), ``"buffer"``
-    (``data`` holds the raw byte snapshot, ``obj`` the reconstructor tag),
-    ``"cow"`` (``obj`` is the frozen structural snapshot shared by all
-    receivers) or ``"cow-flat"`` (``obj`` is a flat scalar-list snapshot;
-    each receiver takes a shallow — hence deep — copy).  ``size`` is the LogP message size: the exact byte count
-    for buffer packets, the pickle length otherwise — computed lazily for
-    by-ref and CoW packets, since the LogP model only needs it when
-    ``per_byte`` costs are nonzero or a receive asks for its
-    :class:`~repro.mp.mailbox.Status`.
+    (``data`` holds the raw byte snapshot, ``obj`` the reconstructor tag)
+    or ``"cow-flat"`` (``obj`` is a flat scalar-list snapshot; each
+    receiver takes a shallow — hence deep — copy).  ``size`` is the LogP
+    message size: the exact byte count for buffer packets, the pickle
+    length otherwise — computed lazily for by-ref and flat-list packets,
+    since the LogP model only needs it when ``per_byte`` costs are nonzero
+    or a receive asks for its :class:`~repro.mp.mailbox.Status`.
 
     A packet may be forwarded through any number of hops (each ``unpack``
-    yields a fresh private view), which is what the tree collectives
-    exploit: one freeze or pickle at the root, zero per hop.
+    yields a fresh private copy), which is what the tree collectives
+    exploit: one copy or pickle at the root, zero per hop.
     """
 
     __slots__ = ("kind", "obj", "data", "_size")
@@ -196,7 +195,7 @@ class Packet:
 
     @property
     def size(self) -> int:
-        """LogP message size in bytes (lazy for by-ref/CoW packets).
+        """LogP message size in bytes (lazy for by-ref and flat-list packets).
 
         Memoised under a lock: two receiver ranks sizing the same forwarded
         packet concurrently must not both pay the pickle (and must agree).
@@ -211,41 +210,16 @@ class Packet:
         return size
 
     def unpack(self) -> Any:
-        """The received payload: a private view, or the shared immutable."""
+        """The received payload: a private copy, or the shared immutable."""
         kind = self.kind
         if kind == KIND_REF:
             return self.obj
         if kind == KIND_COW_FLAT or kind == KIND_COW_MOVE:
-            # Flat scalar list: the shallow copy is the deep copy, and it
-            # is cheaper than building (then probably materialising) a
-            # CowList proxy over the snapshot.  (A cow-move packet copies
-            # here too: unpack's contract is a fresh view per call; the
-            # zero-copy take lives in the recv fast lanes, which know the
-            # message is single-consumer.)
+            # Flat scalar list: the shallow copy is the deep copy.  (A
+            # cow-move packet copies here too: unpack's contract is a fresh
+            # copy per call; the zero-copy take lives in the recv fast
+            # lanes, which know the message is single-consumer.)
             return self.obj.copy()
-        if kind == KIND_COW:
-            # Root proxies are built storage-direct (list.__new__ + two
-            # slot stores) rather than through thaw(): this runs once per
-            # receiver per message and the constructor frames were ~40% of
-            # the CoW lane's unpack cost.  The memo is deferred to first
-            # materialisation (see Cow*._materialize).
-            obj = self.obj
-            t = obj.__class__
-            if t is list:
-                p = _new_list(CowList)
-                p._frozen = obj
-                p._memo = None
-                return p
-            if t is dict:
-                p = _new_dict(CowDict)
-                p._frozen = obj
-                p._memo = None
-                return p
-            if t is set:
-                # Sets are never lazy (C set-argument fast paths bypass
-                # Python methods; see repro.mp.cow): plain private copy.
-                return set(obj)
-            return thaw(obj)  # tuple roots carrying mutables
         if kind == KIND_BUFFER:
             tag = self.obj
             data = self.data
@@ -261,8 +235,6 @@ class Packet:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.kind == KIND_REF:
             return f"Packet(by_ref, {type(self.obj).__name__})"
-        if self.kind == KIND_COW:
-            return f"Packet(cow, {type(self.obj).__name__})"
         if self.kind == KIND_COW_FLAT:
             return f"Packet(cow-flat, {len(self.obj)} items)"
         if self.kind == KIND_BUFFER:
@@ -271,54 +243,31 @@ class Packet:
 
 
 _new_packet = object.__new__
-_new_list = list.__new__
-_new_dict = dict.__new__
 _all_scalars = _IMMUTABLE_SCALARS.issuperset
-
-
-def _cow_packet(snapshot: Any) -> Packet:
-    # Packet.__init__ unrolled (four slot stores beat the ctor frame on
-    # the hottest mutable-send path, as with Message in comm.send).
-    pkt = _new_packet(Packet)
-    pkt.kind = KIND_COW
-    pkt.obj = snapshot
-    pkt.data = None
-    pkt._size = None
-    return pkt
 
 
 def pack_packet(payload: Any) -> Packet:
     """Pack a payload for transport down the cheapest sound lane.
 
-    Payloads outside the by-ref / buffer / CoW vocabularies are pickled
-    eagerly, so unpicklable ones still raise
+    Payloads outside the by-ref / flat-list / buffer vocabularies are
+    pickled eagerly, so unpicklable ones still raise
     :class:`~repro.errors.IsolationError` at the send site (never later at
     some receive deep inside a collective).
     """
     t = type(payload)
     if t in _IMMUTABLE_SCALARS or t is range:  # inline scalar case: every send
         return Packet(obj=payload)
-    if t is list:
+    if t is list and _all_scalars(map(type, payload)):
         # Flat list of immutable scalars — the single most common mutable
-        # payload shape — snapshots as one shallow copy, skipping the
-        # recursive freeze walk entirely (the element scan runs at C
-        # speed; the Packet ctor is unrolled as in _cow_packet).
-        if _all_scalars(map(type, payload)):
-            pkt = _new_packet(Packet)
-            pkt.kind = KIND_COW_FLAT
-            pkt.obj = payload.copy()
-            pkt.data = None
-            pkt._size = None
-            return pkt
-        try:
-            return _cow_packet(freeze(payload))
-        except NotCowable:
-            return Packet(data=pack(payload))
-    if t is dict or t is set or t in COW_PROXY_TYPES:
-        try:
-            return _cow_packet(freeze(payload))
-        except NotCowable:
-            return Packet(data=pack(payload))
+        # payload shape — snapshots as one shallow copy (the element scan
+        # runs at C speed; four slot stores beat the Packet ctor frame on
+        # the hottest mutable-send path, as with Message in comm.send).
+        pkt = _new_packet(Packet)
+        pkt.kind = KIND_COW_FLAT
+        pkt.obj = payload.copy()
+        pkt.data = None
+        pkt._size = None
+        return pkt
     if t is bytearray:
         return Packet(obj=_BUF_BYTEARRAY, data=bytes(payload), kind=KIND_BUFFER)
     if t is memoryview:
@@ -327,14 +276,8 @@ def pack_packet(payload: Any) -> Packet:
         return Packet(
             obj=_BUF_ARRAY + payload.typecode, data=payload.tobytes(), kind=KIND_BUFFER
         )
-    if t is tuple or t is frozenset:
-        if is_immutable(payload):
-            return Packet(obj=payload)
-        if t is tuple:  # a tuple is poisoned by one mutable element: CoW it
-            try:
-                return _cow_packet(freeze(payload))
-            except NotCowable:
-                pass
+    if (t is tuple or t is frozenset) and is_immutable(payload):
+        return Packet(obj=payload)
     return Packet(data=pack(payload))
 
 
@@ -343,9 +286,9 @@ def deep_copy_by_value(payload: Any) -> Any:
 
     Immutable payloads come back as themselves — a rank sending itself an
     ``int`` no longer pays two pickles for a copy that cannot be told
-    apart from the original.  Container payloads come back as CoW proxies
-    over a private snapshot: isolated, but the deep copy is deferred until
-    (unless) the holder actually mutates.
+    apart from the original.  Anything else comes back as a private copy
+    through its transport lane: a shallow copy of a flat scalar list, a
+    rebuilt buffer, or a pickle round trip.
     """
     if is_immutable(payload):
         return payload

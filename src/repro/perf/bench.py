@@ -12,13 +12,13 @@ optimises:
     deliberately runs at the default ``batch=1``, so it guards the
     classroom token-handoff path end to end.  The mutable variant sends
     a small flat ``list`` (the ``cow-flat`` shallow-snapshot lane),
-    ``cow`` a nested 8×8 list (the full freeze walk + lazy proxies, at a
-    size where a pickle round-trip used to hurt), and ``buffer`` a
-    16 KiB ``bytearray`` (the buffer-protocol snapshot lane); these
-    three run under batched arbitration
-    (``batch=64``) — the configuration a throughput-bound harness would
-    actually use — which is what moved the mutable gate from 90k to
-    450k+ msgs/s.
+    ``cow`` a nested 8×8 list (the ``pickle`` lane, which carries every
+    nested payload since the copy-on-write lane it is named after was
+    retired), and ``buffer`` a 16 KiB ``bytearray`` (the
+    buffer-protocol snapshot lane); these three run under batched
+    arbitration (``batch=64``) — the configuration a throughput-bound
+    harness would actually use — which is what moved the mutable gate
+    from 90k to 450k+ msgs/s.
 
 ``switch_rate`` / ``switch_rate_np64``
     Lockstep task switches per second: spinners on bare ``checkpoint()``
@@ -601,11 +601,11 @@ def run_benchmarks(
         ),
         1,
     )
-    note("msg throughput (CoW nested 8x8 list, batch=64)")
-    cow_payload = [list(range(8)) for _ in range(8)]
+    note("msg throughput (nested 8x8 list, pickle lane, batch=64)")
+    nested_payload = [list(range(8)) for _ in range(8)]
     out["msg_throughput_cow"] = round(
         max(
-            bench_msg_throughput(cow_payload, n=3000 // scale, batch=64)
+            bench_msg_throughput(nested_payload, n=3000 // scale, batch=64)
             for _ in range(3)
         ),
         1,

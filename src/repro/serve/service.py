@@ -52,13 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro._version import __version__
-from repro.batch.results import (
-    outcome_from_record,
-    outcome_from_wire,
-    outcome_to_wire,
-    spec_from_wire,
-    spec_to_wire,
-)
+from repro.batch.results import RunOutcome, outcome_from_record
 from repro.batch.specs import RunSpec, engine_fingerprint, spec_key, sweep_fingerprint
 from repro.errors import ReproError
 
@@ -285,17 +279,6 @@ def parse_sweep_request(doc: Any, *, max_cells: int) -> list[RunSpec]:
                         cell["network"] = doc["network"]
                     specs.append(parse_run_request(cell))
     return specs
-
-
-# ---------------------------------------------------------------------------
-# Execution entry points (picklable: they also run on pool processes)
-
-
-def _exec_spec_wire(wire: Mapping[str, Any]) -> dict[str, Any]:
-    """Run one wire-coded spec → wire-coded outcome (worker-side)."""
-    from repro.batch.pool import _exec_spec
-
-    return outcome_to_wire(_exec_spec(spec_from_wire(wire)))
 
 
 @dataclass
@@ -532,12 +515,11 @@ class PatternletService:
                 self.c_executions.inc()
                 # The lane's own cache counters are not folded in:
                 # serve_run already counted this request's miss.
-                wire, _ = await self._dispatch(spec)
+                outcome, _ = await self._dispatch(spec)
             finally:
                 self._sem.release()
                 self.g_inflight.set(
                     max(0, min(self._pending - 1, self.cfg.workers)))
-            outcome = outcome_from_wire(wire)
             if outcome.error is not None:
                 body = self._error_body(outcome.error)
                 result = (500, body)
@@ -561,16 +543,12 @@ class PatternletService:
                 self.g_queue.set(self._queued)
             self._inflight.pop(key, None)
 
-    async def _dispatch(self, spec: RunSpec) -> tuple[dict[str, Any], dict[str, int]]:
-        """Run one spec on the execution backend; returns (wire, stats)."""
-        loop = asyncio.get_running_loop()
-        wire_spec = spec_to_wire(spec)
-        payload = (_exec_spec_wire, wire_spec, self.cfg.cache_dir,
-                   self._use_cache)
-        if self.cfg.workers > 1:
-            from repro.batch.pool import submit_one
+    async def _dispatch(self, spec: RunSpec) -> tuple[RunOutcome, dict[str, int]]:
+        """Run one spec on the execution backend; returns (outcome, stats)."""
+        from repro.batch.pool import _entry, _exec_spec, submit_one
 
-            fut = submit_one(_exec_spec_wire, wire_spec,
+        if self.cfg.workers > 1:
+            fut = submit_one(_exec_spec, spec,
                              workers=self.cfg.workers,
                              use_cache=self._use_cache,
                              cache_dir=self.cfg.cache_dir)
@@ -579,9 +557,9 @@ class PatternletService:
                     return await asyncio.wrap_future(fut)
                 except Exception:  # noqa: BLE001 — pool collapse: lane fallback
                     pass
-        from repro.batch.pool import _entry
-
-        return await loop.run_in_executor(self._lane, _entry, payload)
+        payload = (_exec_spec, spec, self.cfg.cache_dir, self._use_cache)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._lane, _entry, payload)
 
     # -- the /sweep pipeline -------------------------------------------------
 

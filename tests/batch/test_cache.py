@@ -1,26 +1,18 @@
-"""The run cache: hit semantics, escape hatches, LRU bounds, degradation, wire codecs."""
+"""The run cache: hit semantics, escape hatches, LRU bounds, degradation."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 import repro.core.registry as registry
 from repro.batch.cache import RunCache, cache_enabled, caching_runs, default_cache_dir
 from repro.batch.pool import run_specs
-from repro.batch.results import (
-    RECORD_SCHEMA,
-    _memo_clear,
-    outcome_from_wire,
-    outcome_to_wire,
-    run_to_record,
-    spec_from_wire,
-    spec_to_wire,
-)
+from repro.batch.results import RECORD_SCHEMA, _memo_clear, run_to_record
 from repro.batch.specs import RunSpec, figure_suite_specs, spec_key
 from repro.core.registry import run_patternlet
-from repro.errors import CacheUnserializable
 
 
 @pytest.fixture(autouse=True)
@@ -180,46 +172,6 @@ class TestServedRunsAreWhole:
         ]
 
 
-class TestWireCodecs:
-    """Specs and outcomes as plain JSON: what the serve daemon's worker
-    lanes send instead of pickles, under the cache-record codec."""
-
-    def test_spec_round_trip(self):
-        spec = RunSpec.make(
-            "mpi.reduction",
-            tasks=6,
-            toggles={"barrier": True},
-            seed=3,
-            policy="fifo",
-            topology="ring",
-            network="hetero2",
-        )
-        assert spec_from_wire(spec_to_wire(spec)) == spec
-
-    def test_wire_is_json_safe(self):
-        spec = RunSpec.make("openmp.spmd", tasks=2, seed=1)
-        again = json.loads(json.dumps(spec_to_wire(spec)))
-        assert spec_from_wire(again) == spec
-
-    def test_unserializable_extra_raises(self):
-        spec = RunSpec.make("openmp.spmd", probe=object())
-        with pytest.raises(CacheUnserializable):
-            spec_to_wire(spec)
-
-    def test_outcome_round_trip_preserves_the_fingerprint(self):
-        specs = [RunSpec.make("openmp.spmd", tasks=3, seed=s) for s in range(2)]
-        report = run_specs(specs, max_workers=1, use_cache=False)
-        for outcome in report.outcomes:
-            back = outcome_from_wire(outcome_to_wire(outcome))
-            assert (back.text, back.span, back.races) == (
-                outcome.text,
-                outcome.span,
-                outcome.races,
-            )
-            assert back.spec == outcome.spec
-            assert back.metrics == outcome.metrics
-
-
 class TestEscapeHatches:
     def test_repro_cache_0_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
@@ -231,6 +183,12 @@ class TestEscapeHatches:
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "relocated"))
         assert default_cache_dir() == tmp_path / "relocated"
+
+    def test_session_cache_root_is_outside_home(self, tmp_path_factory):
+        # Tier-1 must not write records into ~/.cache/repro-runs.
+        root = default_cache_dir()
+        assert root != Path.home() / ".cache" / "repro-runs"
+        assert root.is_relative_to(tmp_path_factory.getbasetemp())
 
     def test_disabled_context_is_a_noop(self, tmp_path):
         cache = _cache(tmp_path)

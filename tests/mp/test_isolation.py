@@ -1,8 +1,9 @@
-"""Hypothesis escape-hatch suite: CoW receivers can never leak mutations.
+"""Hypothesis escape-hatch suite: receivers can never leak mutations.
 
-The zero-copy transport shares one frozen snapshot among every receiver of
-a broadcast; distributed-memory semantics survive only if *no* way of
-mutating a received container — directly, through nesting, through aliased
+A broadcast packs its payload once at the root and forwards that one
+packet to every receiver, each of which unpacks a private copy;
+distributed-memory semantics survive only if *no* way of mutating a
+received container — directly, through nesting, through aliased
 substructure, or mid-iteration — is ever visible to the sender or to a
 sibling receiver.  These properties drive randomly shaped payloads through
 real broadcasts over all four communicator topologies from the registry and
@@ -21,9 +22,8 @@ from repro.mp import mpirun
 
 TOPOLOGIES = ("flat", "binomial", "ring", "hierarchical")
 
-#: Randomly shaped CoW-vocabulary payloads: nested lists/dicts/sets/tuples
-#: over immutable scalars.  Kept small — the value is shape diversity, not
-#: volume.
+#: Randomly shaped payloads: nested lists/dicts/sets/tuples over immutable
+#: scalars.  Kept small — the value is shape diversity, not volume.
 scalars = st.one_of(st.integers(-9, 9), st.text(max_size=3), st.booleans())
 payloads = st.recursive(
     scalars,
@@ -122,7 +122,7 @@ class TestBroadcastIsolation:
 
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_sender_mutating_between_isends_is_safe(self, topology):
-        # The classic MPI_Isend aliasing bug: freeze is an eager snapshot,
+        # The classic MPI_Isend aliasing bug: the pack is an eager snapshot,
         # so each receiver sees the value at *its* send, not the final one.
         def main(comm):
             if comm.rank == 0:

@@ -15,10 +15,17 @@ sound if three invariants hold for *every* payload:
 Property-based tests pin each invariant at the serialize layer, then
 end-to-end tests confirm the same behaviour through a real lockstep run
 (including self-sends, which route through :func:`deep_copy_by_value`).
+
+The lane tests below pin the copying lanes through
+``pack_packet(...).unpack()``: which lane each payload shape takes,
+isolation in both directions, aliasing and cycles, and received
+containers that behave as plain containers.  Whole-runtime isolation
+across topologies lives in ``test_isolation.py``.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 import threading
 
@@ -29,6 +36,8 @@ from hypothesis import strategies as st
 from repro.errors import IsolationError, ParallelError
 from repro.mp import mpirun
 from repro.mp.serialize import (
+    KIND_COW_FLAT,
+    KIND_PICKLE,
     deep_copy_by_value,
     is_immutable,
     pack_packet,
@@ -152,28 +161,27 @@ class TestExtendedByRefVocabulary:
         assert is_immutable(payload)
         assert pack_packet(payload).by_ref
 
-    def test_deep_list_nest_survives_on_the_cow_lane(self):
-        # The freeze walk survives deeper nesting than pickle does: this
-        # depth fails pickle.dumps outright, so the pickle-only transport
-        # could not carry it at all — the CoW lane can.
+    @pytest.mark.parametrize("depth", [600, 5000])
+    def test_pathological_nesting_fails_eagerly_at_the_send_site(self, depth):
+        # A nest past pickle's depth limit must raise the eager
+        # IsolationError at the send site, never fail later at a receive
+        # deep inside a collective.  The limit is the interpreter's: 600
+        # levels is past it on CPython 3.10/3.11, inside it from 3.12
+        # (where the nest must then travel intact); 5000 is past it on
+        # every supported version.
         payload: list = [1]
-        for _ in range(600):
+        for _ in range(depth):
             payload = [payload]
-        packet = pack_packet(payload)
-        assert packet.kind == "cow"
-        got = packet.unpack()
-        for _ in range(600):
+        try:
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        except RecursionError:
+            with pytest.raises(IsolationError, match="cannot cross"):
+                pack_packet(payload)
+            return
+        got = pack_packet(payload).unpack()
+        for _ in range(depth):
             got = got[0]
         assert got == [1]
-
-    def test_pathological_nesting_fails_eagerly_at_the_send_site(self):
-        # Too deep for freeze *and* pickle: the send must raise the same
-        # eager IsolationError the pickle-only transport always raised.
-        payload: list = [1]
-        for _ in range(5000):
-            payload = [payload]
-        with pytest.raises(IsolationError, match="cannot cross"):
-            pack_packet(payload)
 
 
 class TestBufferLane:
@@ -209,10 +217,10 @@ class TestLazySizeRace:
     def test_concurrent_sizing_packs_exactly_once(self, monkeypatch):
         """Regression: two receivers sizing one forwarded packet raced.
 
-        ``Packet.size`` is computed lazily for by-ref/CoW packets; under
-        the threaded executor several receiver ranks can ask for it
-        concurrently.  The memoisation must be guarded so the pickle runs
-        exactly once and every thread agrees on the answer.
+        ``Packet.size`` is computed lazily for by-ref and flat-list
+        packets; under the threaded executor several receiver ranks can ask
+        for it concurrently.  The memoisation must be guarded so the pickle
+        runs exactly once and every thread agrees on the answer.
         """
         import repro.mp.serialize as serialize
 
@@ -326,3 +334,187 @@ class TestPackOnceForwarding:
         assert all(out[r] == list(range(64)) for r in range(8))
         # Receivers each got a private copy, not the root's object.
         assert len({id(v) for v in out.values()}) == 8
+
+
+def receive(payload):
+    """One sender→receiver trip through the packet layer."""
+    return pack_packet(payload).unpack()
+
+
+class Box:
+    """Module-level (so picklable) class outside the by-ref vocabulary."""
+
+    def __init__(self, x):
+        self.x = x
+
+
+class MyList(list):
+    """Module-level list subclass: pays the pickle like any subclass."""
+
+
+class TestLanes:
+    def test_nested_list_dict_set_travel_on_the_pickle_lane(self):
+        for payload in ([1, [2], 3], {"a": 1}, {1, 2}):
+            pkt = pack_packet(payload)
+            assert pkt.kind == KIND_PICKLE
+            assert pkt.size == len(pkt.data)
+
+    def test_flat_scalar_list_takes_the_flat_lane(self):
+        # A flat list of scalars snapshots as one shallow copy, which is
+        # already a deep copy: no pickle.
+        pkt = pack_packet([1, 2, 3])
+        assert pkt.kind == KIND_COW_FLAT
+        assert pkt.data is None
+        got = pkt.unpack()
+        assert type(got) is list and got == [1, 2, 3]
+        assert pkt.unpack() is not got  # fresh private copy per receiver
+
+    def test_flat_lane_isolation_both_directions(self):
+        payload = [1, 2, 3]
+        pkt = pack_packet(payload)
+        payload.append(4)  # sender mutates after the send
+        got = pkt.unpack()
+        assert got == [1, 2, 3]
+        got.append(9)  # receiver mutates
+        assert pkt.unpack() == [1, 2, 3]  # siblings unaffected
+
+    def test_received_nested_containers_are_plain(self):
+        assert type(receive([[1]])) is list
+        assert type(receive({"a": [1]})) is dict
+
+    def test_received_set_is_a_plain_private_copy(self):
+        got = receive({1, 2})
+        assert type(got) is set
+        assert got == {1, 2}
+
+    def test_custom_class_falls_back_to_pickle(self):
+        got = receive([Box(7)])
+        assert got[0].x == 7
+        assert type(got) is list  # pickle lane: plain containers
+
+    def test_container_subclass_falls_back_to_pickle(self):
+        pkt = pack_packet(MyList([1]))
+        assert pkt.kind == KIND_PICKLE
+        assert pkt.unpack() == [1]
+
+
+class TestIsolation:
+    def test_receiver_mutation_invisible_to_sender(self):
+        payload = [1, [2, 3]]
+        got = receive(payload)
+        got[1].append(99)
+        got.append(0)
+        assert payload == [1, [2, 3]]
+
+    def test_sender_mutation_after_send_invisible_to_receiver(self):
+        payload = [1, [2, 3]]
+        pkt = pack_packet(payload)
+        payload[1].append(99)
+        payload.append(0)
+        assert pkt.unpack() == [1, [2, 3]]
+
+    def test_sibling_receivers_are_isolated(self):
+        pkt = pack_packet({"k": [1]})
+        a, b = pkt.unpack(), pkt.unpack()
+        a["k"].append(2)
+        assert b["k"] == [1]
+
+    def test_deep_nesting_isolated(self):
+        payload = {"a": [{"b": {1, 2}}, (3, [4])]}
+        got = receive(payload)
+        got["a"][0]["b"].add(9)
+        got["a"][1][1].append(9)
+        assert payload == {"a": [{"b": {1, 2}}, (3, [4])]}
+
+
+class TestStructure:
+    def test_aliasing_preserved_across_the_boundary(self):
+        shared = [1, 2]
+        got = receive([shared, shared])
+        assert got[0] is got[1]
+        got[0].append(3)
+        assert got[1] == [1, 2, 3]
+
+    def test_cycles_preserved(self):
+        payload: list = [1]
+        payload.append(payload)
+        got = receive(payload)
+        assert got[1] is got
+
+    def test_tuple_with_mutables_travels_as_a_private_tuple(self):
+        big = "x" * 64
+        payload = ([1], big)
+        got = receive(payload)
+        assert type(got) is tuple
+        assert got == payload
+        got[0].append(2)
+        assert payload == ([1], big)
+
+    def test_equality_both_directions_and_with_plain(self):
+        got = receive([1, [2]])
+        assert got == [1, [2]]
+        assert [1, [2]] == got
+        a, b = pack_packet({"x": 1}).unpack(), pack_packet({"x": 1}).unpack()
+        assert a == b
+
+
+class TestBehavesLikeRealContainer:
+    def test_common_dict_operations(self):
+        got = receive({"a": 1, "b": 2})
+        assert sorted(got) == ["a", "b"]
+        assert got.get("a") == 1
+        assert got.pop("b") == 2
+        assert dict(got) == {"a": 1}
+
+    def test_common_set_operations(self):
+        got = receive({1, 2})
+        assert got | {3} == {1, 2, 3}
+        got.add(4)
+        assert got == {1, 2, 4}
+
+    def test_pickle_and_deepcopy_produce_plain_containers(self):
+        for payload in ([1, [2]], {"a": [1]}, {1, 2}):
+            got = receive(payload)
+            for twin in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+                assert type(twin) is type(payload)
+                assert twin == payload
+
+    def test_nested_payload_size_is_its_pickle_length(self):
+        # Hetero-network span fixtures depend on LogP sizes: a nested
+        # payload is charged exactly its pickle's byte length.
+        shared = [1, 2]
+        payload = {"a": [shared, shared], "b": (1, [2])}
+        assert pack_packet(payload).size == len(
+            pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        )
+
+
+class TestCFastPathArguments:
+    """A received container passed as an argument to C-level shortcuts.
+
+    CPython has fast paths that read another container's internal storage
+    without calling any of its Python-visible methods, so a received
+    container must be a real one whose storage those paths can read.
+    """
+
+    def test_set_constructor_from_received_set(self):
+        assert set(receive({1, 2})) == {1, 2}
+
+    def test_frozenset_constructor_from_received_set(self):
+        assert frozenset(receive({1, 2})) == {1, 2}
+
+    def test_plain_set_update_with_received_set(self):
+        s = {0}
+        s.update(receive({1, 2}))
+        assert s == {0, 1, 2}
+
+    def test_plain_set_union_with_received_set(self):
+        assert {0}.union(receive({1, 2})) == {0, 1, 2}
+
+    def test_dict_merge_with_received_dict(self):
+        got = receive({"a": 1})
+        assert {**got, "b": 2} == {"a": 1, "b": 2}
+        d = {"z": 0}
+        d.update(got)
+        assert d == {"z": 0, "a": 1}
+        assert {"z": 0} | got == {"z": 0, "a": 1}

@@ -16,7 +16,7 @@ import asyncio
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.results import RunOutcome, outcome_to_wire
+from repro.batch.results import RunOutcome
 from repro.batch.specs import spec_key
 from repro.serve import PatternletService, ServeConfig, parse_run_request
 
@@ -48,7 +48,7 @@ def _stubbed_service(**cfg):
                          text=f"ran {spec.label()}",
                          span=float(spec.seed + (spec.tasks or 0)),
                          wall=0.001, races=0)
-        return outcome_to_wire(out), {"hits": 0, "misses": 1}
+        return out, {"hits": 0, "misses": 1}
 
     service._dispatch = dispatch
     return service, calls

@@ -36,14 +36,14 @@ def _request(port, method, path, body=None, conn=None):
 
 def _slow_dispatch(daemon, delay):
     """Swap the execution backend for a deterministic slow coroutine."""
-    from repro.batch.results import RunOutcome, outcome_to_wire
+    from repro.batch.results import RunOutcome
     from repro.batch.specs import spec_key
 
     async def dispatch(spec):
         await asyncio.sleep(delay)
         out = RunOutcome(spec=spec, key=spec_key(spec), cached=False,
                          text="slow", span=1.0, wall=delay, races=0)
-        return outcome_to_wire(out), {"hits": 0, "misses": 1}
+        return out, {"hits": 0, "misses": 1}
 
     daemon.service._dispatch = dispatch
 
