@@ -19,9 +19,9 @@ already seen:
   with an in-process serial twin.
 
 Consumers: ``patternlet selfcheck`` (figure checks as one batch),
-``patternlet sweep`` (seed × np grids, ``--jobs N`` workers), and
-``repro.perf.bench`` (the ``batch_throughput_runs_s`` /
-``cache_hit_rate`` metrics).
+``patternlet sweep`` (seed × np grids, ``--jobs N`` workers) and the
+serve daemon's execution lane.  The benchmark's ``grade-cold`` and
+``grade-warm`` workloads time the sweep path end to end.
 """
 
 from repro.batch.cache import RunCache, cache_enabled, caching_runs, default_cache_dir

@@ -186,7 +186,7 @@ def run_to_record(run: CapturedRun, *, key: str) -> dict[str, Any]:
     """Serialise a captured run as one content-addressed cache record.
 
     Raises :class:`~repro.errors.CacheUnserializable` when the trace is
-    incomplete (events were dropped or evicted — a partial stream must
+    incomplete (events were dropped — a partial stream must
     not masquerade as the run) or carries out-of-vocabulary values.  The
     ``result`` field is best-effort: runtime handles (``WorldResult``,
     ``TeamResult``) do not serialise, and no deterministic figure check
@@ -200,8 +200,8 @@ def run_to_record(run: CapturedRun, *, key: str) -> dict[str, Any]:
     key hashes ``obs/derive.py`` and ``trace/hb.py``.
     """
     trace = run.trace
-    if trace.dropped or trace.evicted:
-        raise CacheUnserializable("trace is incomplete (dropped/evicted events)")
+    if trace.dropped:
+        raise CacheUnserializable("trace is incomplete (dropped events)")
     events = [_event_to_wire(ev) for ev in trace.events()]
     meta = encode_value(run.meta)  # an unrecordable run fails before deriving
     try:

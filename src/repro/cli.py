@@ -14,13 +14,18 @@ exactly the workflow of the paper's live-coding demos:
     patternlet run mpi.broadcast --np 8 --topology ring
     patternlet sweep openmp.reduction --on parallel_for --seeds 0-15
     patternlet sweep mpi.broadcast --np 2,4,8,16,32 --topology flat,binomial
-    patternlet bench --quick --check BENCH_runtime.json
+    patternlet bench --quick --out before.json
+    patternlet bench --quick --check before.json
     patternlet catalog
 
 ``sweep`` and ``selfcheck`` go through :mod:`repro.batch`: runs fan
 across a persistent worker pool (``--jobs``) and deterministic runs are
 served from the content-addressed run cache (``--no-cache`` or
 ``REPRO_CACHE=0`` to opt out).
+
+``bench`` times the engine itself.  Wall clocks only compare on the
+machine that took them, so ``--check`` reads a report that ``--out``
+wrote on the same host: measure before a change, then check after it.
 
 MPI runs accept ``--topology`` (communicator algorithm set: ``flat``,
 ``binomial``, ``ring``, ``hierarchical``; default from the
@@ -208,17 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench", help="measure engine throughput (msgs/s, switches/s, "
-                      "collective latency, figure-suite wall clock)"
+                      "collective latency, self-check wall clock)"
     )
     p_bench.add_argument("--quick", action="store_true",
                          help="~5x fewer iterations (CI smoke runs)")
     p_bench.add_argument("--out", metavar="FILE", default=None,
-                         help="write results as JSON (e.g. BENCH_runtime.json)")
+                         help="write results as JSON (a baseline for --check)")
     p_bench.add_argument("--check", metavar="BASELINE", default=None,
-                         help="compare against a baseline JSON; exit 1 if any "
-                              "throughput metric drops more than --tolerance")
-    p_bench.add_argument("--tolerance", type=float, default=0.30,
-                         help="allowed throughput drop vs baseline (default 0.30)")
+                         help="compare against a report written by --out on "
+                              "this machine; exit 1 if a gated metric "
+                              "regressed more than 30%%")
     p_bench.add_argument("--topology", default=None, metavar="NAME",
                          help="pin the collective-latency benches to one "
                               "communicator topology (default: report the "
@@ -240,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon.add_argument("--queue-limit", type=int, default=32, metavar="N",
                           help="admitted-but-waiting executions beyond the "
                                "worker count before 429 shedding (default 32)")
-    p_daemon.add_argument("--deadline-ms", type=float, default=10_000.0,
+    p_daemon.add_argument("--deadline-ms", type=_positive_float,
+                          default=10_000.0,
                           help="max milliseconds an admitted execution may "
                                "queue before 503 (default 10000)")
     p_daemon.add_argument("--no-cache", action="store_true",
@@ -253,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon.add_argument("--max-cells", type=int, default=256, metavar="N",
                           help="largest grid one POST /sweep may expand to "
                                "(default 256)")
-    p_daemon.add_argument("--drain-timeout", type=float, default=10.0,
-                          metavar="S",
+    p_daemon.add_argument("--drain-timeout", type=_nonnegative_float,
+                          default=10.0, metavar="S",
                           help="seconds shutdown waits for in-flight runs "
                                "(default 10)")
 
@@ -266,6 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("catalog", help="print the design-pattern catalog by layer")
     sub.add_parser("inventory", help="print collection counts per backend")
     return parser
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
 
 
 def _cmd_list(backend: str | None) -> int:
@@ -602,7 +621,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         format_table,
         load_report,
         make_report,
-        remeasure,
         run_benchmarks,
         save_report,
     )
@@ -638,35 +656,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         failures = compare(
             metrics,
             baseline,
-            tolerance=args.tolerance,
             on_skip=lambda msg: print(f"warning: {msg}", file=sys.stderr),
         )
         if failures:
-            # A regression verdict deserves more samples than a pass:
-            # re-measure just the failing gates (best of 10) before
-            # declaring one.  Interference can only depress a rate
-            # sample, so a genuinely slower engine still fails here.
-            names = [f.split(":", 1)[0] for f in failures]
-            print(f"\n{len(names)} gate(s) failed; re-measuring before the "
-                  "verdict", file=sys.stderr)
-            retried = remeasure(metrics, names, quick=args.quick,
-                                progress=note)
-            for name in names:
-                if retried.get(name) != metrics.get(name):
-                    print(f"  {name}: {metrics[name]:.1f} -> "
-                          f"{retried[name]:.1f}", file=sys.stderr)
-            metrics = retried
-            if args.out:
-                save_report(args.out,
-                            make_report(metrics, quick=args.quick))
-            failures = compare(metrics, baseline, tolerance=args.tolerance)
-        if failures:
-            print("\nPERF REGRESSION:", file=sys.stderr)
+            print("\nPERF CHECK FAILED:", file=sys.stderr)
             for f in failures:
                 print(f"  {f}", file=sys.stderr)
             return 1
-        print(f"\nperf check passed (tolerance {args.tolerance:.0%})",
-              file=sys.stderr)
+        print("\nperf check passed (tolerance 30%)", file=sys.stderr)
     return 0
 
 

@@ -190,7 +190,7 @@ class CacheUnserializable(BatchError):
     """A run (or spec) cannot be expressed as a cache record.
 
     Raised when a trace carries values outside the cache's canonical JSON
-    vocabulary, when the trace is incomplete (dropped/evicted events), or
+    vocabulary, when the trace is incomplete (dropped events), or
     when a spec's extras defeat key derivation.  Callers treat it as
     "execute live, don't cache" — never as a run failure.
     """

@@ -4,15 +4,18 @@ The engine's value is pedagogical *and* quantitative: spans, speedup
 curves, and the figure suite all assume the runtime itself is cheap
 enough not to drown the effects being taught.  This package measures the
 engine's hot paths — message transport, lockstep task switching,
-collective latency, and the end-to-end figure suite — and compares runs
-against a committed baseline so a refactor that quietly halves
-throughput fails CI instead of shipping.
+collective latency, and the figure self-check — and compares two reports
+taken on one machine, so a refactor that quietly halves throughput shows
+up as a failed check instead of shipping.
 
-Use from the command line::
+Use from the command line, before and after a change::
 
-    patternlet bench --quick --check BENCH_runtime.json
+    patternlet bench --quick --out before.json
+    patternlet bench --quick --check before.json
 
-or programmatically via :func:`repro.perf.bench.run_benchmarks`.
+or programmatically via :func:`repro.perf.bench.run_benchmarks`.  CI
+runs ``benchmarks/perf/ab_gate.py``, which measures the merge-base and
+the change in alternating pairs on one runner.
 """
 
 from repro.perf.bench import (

@@ -243,7 +243,7 @@ class ServeDaemon:
                         _METRICS_TYPE, {})
             if path.startswith("/report/") and method == "GET":
                 key = path[len("/report/"):]
-                stored = self.service.report_body(key)
+                stored = await self.service.report_body(key)
                 if stored is None:
                     return (404, _json_body({"error": f"no report or run "
                                              f"stored under {key!r}"}),

@@ -121,6 +121,16 @@ class ServeConfig:
     idle_timeout_s: float = 30.0
     max_body_bytes: int = 1 << 20
 
+    def __post_init__(self) -> None:
+        # A zero deadline would answer every execution 503 even with a
+        # free slot; a negative drain would skip the wait for in-flight
+        # runs.  (``not x > 0`` also rejects NaN.)
+        if not self.deadline_ms > 0:
+            raise ValueError(f"deadline_ms must be > 0, got {self.deadline_ms}")
+        if not self.drain_timeout_s >= 0:
+            raise ValueError(
+                f"drain_timeout_s must be >= 0, got {self.drain_timeout_s}")
+
     @property
     def high_water(self) -> int:
         return max(1, self.workers) + max(0, self.queue_limit)
@@ -297,7 +307,8 @@ class PatternletService:
     metrics registry — is touched only from the event loop thread, so
     none of it needs locks; executions happen on executor threads / pool
     processes and only their *results* cross back onto the loop.  The
-    cache tier reads its record on the loop, but builds the response
+    cache tier reads its record on a reader thread, so a slow disk never
+    stalls a memo hit queued behind the read, and builds the response
     from the record's stored verdicts without decoding the events.
     """
 
@@ -326,6 +337,10 @@ class PatternletService:
         # the ambient trace stack allows one live run per process.
         self._lane = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="patternlet-serve-exec")
+        # Cache-record reads: off the loop, and never queued behind an
+        # execution on the lane.
+        self._reader = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="patternlet-serve-read")
         self._build_registry()
 
     # -- metrics -------------------------------------------------------------
@@ -401,8 +416,9 @@ class PatternletService:
         return True
 
     def close(self) -> None:
-        """Release the execution lane (idempotent)."""
+        """Release the execution lane and the reader thread (idempotent)."""
         self._lane.shutdown(wait=True, cancel_futures=True)
+        self._reader.shutdown(wait=True, cancel_futures=True)
 
     # -- health / report -----------------------------------------------------
 
@@ -418,7 +434,7 @@ class PatternletService:
             "draining": self._draining,
         }
 
-    def report_body(self, key: str) -> bytes | None:
+    async def report_body(self, key: str) -> bytes | None:
         """A stored sweep report or memoised run response for ``key``."""
         body = self._reports.get(key)
         if body is not None:
@@ -429,7 +445,7 @@ class PatternletService:
             self._memo.move_to_end(key)
             return body
         if self._cache is not None:
-            record = self._cache.get(key)
+            record = await self._read_record(key)
             if record is not None:
                 try:
                     return self._payload_for(key, outcome_from_record(None, key, record))
@@ -455,6 +471,31 @@ class PatternletService:
             key = spec_key(spec)
         if key is None:  # unreachable after validation; belt and braces
             raise RequestError("spec is not content-addressable")
+        served = await self._memo_or_flight(key)
+        if served is not None:
+            return served
+        if self._cache is not None:
+            record = await self._read_record(key)
+            if record is not None:
+                try:
+                    outcome = outcome_from_record(spec, key, record)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise RequestError(
+                        f"stored record for {key} is unreadable: {exc}",
+                        status=500) from None
+                body = self._payload_for(key, outcome)
+                self.c_cache_hits.inc()
+                return 200, body, "cache"
+            # The read yielded the loop: an identical request may have
+            # finished or opened its flight meanwhile.
+            served = await self._memo_or_flight(key)
+            if served is not None:
+                return served
+        self.c_cache_misses.inc()
+        return await self._execute(key, spec) + ("execute",)
+
+    async def _memo_or_flight(self, key: str) -> tuple[int, bytes, str] | None:
+        """Serve ``key`` from the memo or an open flight; None if neither."""
         body = self._memo.get(key)
         if body is not None:
             self._memo.move_to_end(key)
@@ -466,20 +507,13 @@ class PatternletService:
             self.c_coalesce.inc()
             status, body = await asyncio.shield(flight.future)
             return status, body, "coalesce"
-        if self._cache is not None:
-            record = self._cache.get(key)
-            if record is not None:
-                try:
-                    outcome = outcome_from_record(spec, key, record)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise RequestError(
-                        f"stored record for {key} is unreadable: {exc}",
-                        status=500) from None
-                body = self._payload_for(key, outcome)
-                self.c_cache_hits.inc()
-                return 200, body, "cache"
-        self.c_cache_misses.inc()
-        return await self._execute(key, spec) + ("execute",)
+        return None
+
+    async def _read_record(self, key: str) -> dict[str, Any] | None:
+        """``RunCache.get`` on the reader thread."""
+        assert self._cache is not None
+        return await asyncio.get_running_loop().run_in_executor(
+            self._reader, self._cache.get, key)
 
     async def _execute(self, key: str, spec: RunSpec) -> tuple[int, bytes]:
         if self._draining:

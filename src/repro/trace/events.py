@@ -99,19 +99,12 @@ class Event:
 
 
 class TraceRecorder:
-    """Thread-safe sink for one run's events (slotted-ring storage).
+    """Thread-safe sink for one run's events.
 
     ``limit`` bounds memory for pathological runs (a trace is an analysis
-    artifact, not an unbounded log).  Two bounding policies:
-
-    - ``ring=False`` (default): events past the limit are counted in
-      ``dropped`` rather than stored — the stream keeps its *head*, and
-      analyses should treat a trace with drops as incomplete.
-    - ``ring=True``: storage is a fixed ring of ``limit`` slots; new events
-      overwrite the oldest and ``evicted`` counts the overwritten head —
-      the stream keeps its *tail*, which is what long-lived benchmark and
-      service runs want.  ``seq`` numbers keep counting the true stream
-      position either way.
+    artifact, not an unbounded log): events past the limit are counted in
+    ``dropped`` rather than stored, so the stream keeps its *head*, and
+    analyses should treat a trace with drops as incomplete.
 
     The class attribute ``recording`` is the muting flip: :func:`emit`'s
     module-level fast path reads exactly one attribute off the ambient
@@ -122,15 +115,12 @@ class TraceRecorder:
     #: Read by the :func:`emit` fast path; ``_MutedRecorder`` overrides.
     recording = True
 
-    def __init__(self, *, limit: int = 1_000_000, ring: bool = False):
+    def __init__(self, *, limit: int = 1_000_000):
         if limit <= 0:
             raise ValueError("limit must be positive")
         self.limit = limit
-        self.ring = ring
-        #: Events rejected once the limit was reached (head-keeping mode).
+        #: Events rejected once the limit was reached.
         self.dropped = 0
-        #: Events overwritten by newer ones (ring mode).
-        self.evicted = 0
         self._lock = threading.Lock()
         self._events: list[Event] = []
         self._n = 0  # total events ever emitted (stream position / seq)
@@ -145,7 +135,7 @@ class TraceRecorder:
         hb_rel: Hashable | None = None,
         **payload: Any,
     ) -> Event | None:
-        """Record one event; returns it (or ``None`` when head-mode drops it).
+        """Record one event; returns it (or ``None`` when the limit drops it).
 
         ``task`` defaults to the calling thread's task label, so emission
         sites inside the runtimes rarely need to name themselves; scheduler
@@ -156,23 +146,8 @@ class TraceRecorder:
         with self._lock:
             n = self._n
             if len(self._events) >= self.limit:
-                if not self.ring:
-                    self.dropped += 1
-                    return None
-                ev = Event(
-                    seq=n,
-                    task=task,
-                    kind=kind,
-                    vtime=vtime,
-                    hb_acq=hb_acq,
-                    hb_rel=hb_rel,
-                    payload=payload,
-                )
-                # Reuse the ring slot of the oldest event.
-                self._events[n % self.limit] = ev
-                self.evicted += 1
-                self._n = n + 1
-                return ev
+                self.dropped += 1
+                return None
             ev = Event(
                 seq=n,
                 task=task,
@@ -189,15 +164,9 @@ class TraceRecorder:
     def events(
         self, kind: str | None = None, *, scope: str | None = None
     ) -> list[Event]:
-        """Snapshot of the stream, optionally filtered by kind and/or scope.
-
-        In ring mode the snapshot is the retained tail, oldest first.
-        """
+        """Snapshot of the stream, optionally filtered by kind and/or scope."""
         with self._lock:
             evs = list(self._events)
-            if self.ring and self._n > self.limit:
-                pivot = self._n % self.limit
-                evs = evs[pivot:] + evs[:pivot]
         if kind is not None:
             evs = [e for e in evs if e.kind == kind]
         if scope is not None:

@@ -23,8 +23,8 @@ METRICS = {
     "msg_throughput_immutable": 100000.0,
     "msg_throughput_mutable": 50000.0,
     "switch_rate": 200000.0,
-    "bcast_ms_p2": 0.05,
-    "figure_suite_wall_s": 0.07,
+    "run_setup_ms": 0.05,
+    "selfcheck_cold_wall_s": 0.07,
 }
 
 
@@ -44,7 +44,7 @@ class TestComparePolicy:
 
     def test_latency_regression_never_fails(self):
         # Wall/latency metrics are reported, not gated (too noisy in CI).
-        current = dict(METRICS, bcast_ms_p2=METRICS["bcast_ms_p2"] * 100)
+        current = dict(METRICS, run_setup_ms=METRICS["run_setup_ms"] * 100)
         assert compare(current, METRICS) == []
 
     def test_missing_metric_is_skipped(self):
@@ -64,43 +64,49 @@ class TestComparePolicy:
             "msg_throughput_buffer",
             "switch_rate",
             "switch_rate_np64",
-            "batch_throughput_runs_s",
-            "served_runs_s",
         }
         assert set(bench.LOWER_IS_BETTER) == {
             "bcast_ms_p32",
             "allreduce_ms_p64",
-            "serve_p50_ms",
-            "serve_p99_ms",
         }
 
     def test_gated_metric_absent_from_baseline_warns_but_passes(self):
         # An older baseline file predating a gated metric must not fail
         # the check — but the un-armed gate is reported, not silent.
-        current = dict(METRICS, batch_throughput_runs_s=1000.0)
+        current = dict(METRICS, msg_throughput_buffer=1000.0)
         skips: list[str] = []
         assert compare(current, METRICS, on_skip=skips.append) == []
         assert len(skips) == 1
-        assert "batch_throughput_runs_s" in skips[0]
+        assert "msg_throughput_buffer" in skips[0]
         assert "regenerate the baseline" in skips[0]
 
     def test_gated_metric_absent_from_this_run_warns_but_passes(self):
         # A gate the baseline arms but this run no longer measures (a
         # renamed or deleted bench) must surface, not pass silently.
-        baseline = dict(METRICS, batch_throughput_runs_s=1000.0)
+        baseline = dict(METRICS, msg_throughput_buffer=1000.0)
         skips: list[str] = []
         assert compare(METRICS, baseline, on_skip=skips.append) == []
         assert skips == [
-            "batch_throughput_runs_s: absent from this run; gate skipped"
+            "msg_throughput_buffer: absent from this run; gate skipped"
         ]
-        baseline = dict(METRICS, serve_p50_ms=2.0)
+        baseline = dict(METRICS, bcast_ms_p32=2.0)
         skips.clear()
         assert compare(METRICS, baseline, on_skip=skips.append) == []
-        assert skips == ["serve_p50_ms: absent from this run; gate skipped"]
+        assert skips == ["bcast_ms_p32: absent from this run; gate skipped"]
+
+    @pytest.mark.parametrize("baseline", [{}, [], {"run_setup_ms": 0.05}])
+    def test_comparing_nothing_fails(self, baseline):
+        # No gated metric on both sides: the check compared nothing, so
+        # an empty (or foreign) baseline must not read as a pass.
+        failures = compare(METRICS, baseline)
+        assert failures == [
+            "no gated metric is on both sides; nothing was compared"
+        ]
+        assert compare({}, METRICS) == failures
 
     def test_no_skip_warning_when_baseline_has_the_metric(self):
-        current = dict(METRICS, batch_throughput_runs_s=1000.0)
-        baseline = dict(METRICS, batch_throughput_runs_s=900.0)
+        current = dict(METRICS, msg_throughput_buffer=1000.0)
+        baseline = dict(METRICS, msg_throughput_buffer=900.0)
         skips: list[str] = []
         assert compare(current, baseline, on_skip=skips.append) == []
         assert skips == []
@@ -151,105 +157,26 @@ class TestMetricFunctions:
     def test_switch_rate_is_positive(self):
         assert bench_switch_rate(tasks=2, k=50) > 0
 
-
-class TestRemeasure:
-    def test_failing_gates_get_best_of_n(self, monkeypatch):
-        # Each registered sampler is called ``repeats`` times and the
-        # best sample wins (interference can only depress a rate).
-        calls: list[int] = []
-        samples = iter([100.0, 900.0, 300.0])
-        monkeypatch.setitem(
-            bench._GATED_SAMPLERS,
-            "switch_rate",
-            lambda s: calls.append(s) or next(samples),
-        )
-        out = bench.remeasure(
-            {"switch_rate": 50.0, "other": 1.0}, ["switch_rate"], repeats=3
-        )
-        assert out["switch_rate"] == 900.0
-        assert out["other"] == 1.0
-        assert calls == [1, 1, 1]
-
-    def test_quick_mode_passes_scale_to_samplers(self, monkeypatch):
-        seen: list[int] = []
-        monkeypatch.setitem(
-            bench._GATED_SAMPLERS,
-            "switch_rate",
-            lambda s: seen.append(s) or 1.0,
-        )
-        bench.remeasure({"switch_rate": 5.0}, ["switch_rate"], quick=True,
-                        repeats=2)
-        assert seen == [5, 5]
-
-    def test_unsampled_names_pass_through(self):
-        # Suite-level metrics have no sampler; remeasure leaves them be.
-        metrics = {"batch_throughput_runs_s": 10.0}
-        assert bench.remeasure(metrics, ["batch_throughput_runs_s"]) == metrics
-
-    def test_every_sampler_name_is_a_gated_metric(self):
-        gated = set(HIGHER_IS_BETTER) | set(bench.LOWER_IS_BETTER)
-        assert set(bench._GATED_SAMPLERS) <= gated
-
-    def test_latency_remeasure_takes_the_minimum(self, monkeypatch):
-        samples = iter([5.0, 2.0, 9.0])
-        monkeypatch.setitem(
-            bench._GATED_SAMPLERS, "bcast_ms_p32", lambda s: next(samples)
-        )
-        out = bench.remeasure({"bcast_ms_p32": 9.0}, ["bcast_ms_p32"],
-                              repeats=3)
-        assert out["bcast_ms_p32"] == 2.0
-
-
-class TestServeBench:
-    def test_serve_gates_have_samplers(self):
-        # A failing serve gate must be re-measurable like any other.
-        assert {"served_runs_s", "serve_p50_ms", "serve_p99_ms"} <= set(
-            bench._GATED_SAMPLERS
-        )
-
-    def test_nearest_rank_percentile(self):
-        values = [float(v) for v in range(1, 101)]
-        assert bench._pct(values, 0.50) == 50.0
-        assert bench._pct(values, 0.99) == 99.0
-        assert bench._pct([7.0], 0.99) == 7.0
-
-    def test_warm_identical_burst_coalesces_completely(self):
-        # The acceptance bar: a warm burst of identical-spec requests
-        # never reaches the execution tier — coalesce_hit_rate is 1.0.
-        out = bench.bench_serve(quick=True, rounds=1, clients=4, requests=40)
-        assert set(out) == {
-            "serve_p50_ms",
-            "serve_p99_ms",
-            "served_runs_s",
-            "coalesce_hit_rate",
-            "serve_direct_ms",
-        }
-        assert out["coalesce_hit_rate"] == 1.0
-        assert out["served_runs_s"] > 0
-        assert out["serve_p50_ms"] <= out["serve_p99_ms"]
+    def test_selfcheck_reports_one_cold_and_one_warm_wall(self):
+        walls = bench.bench_selfcheck(rounds=1)
+        assert set(walls) == {"selfcheck_cold_wall_s", "selfcheck_warm_wall_s"}
+        assert all(v > 0 for v in walls.values())
 
 
 class TestCli:
     @pytest.fixture
     def fake_metrics(self, monkeypatch):
         # The CLI imports run_benchmarks at call time, so patching the
-        # bench module swaps in instant fake numbers.  remeasure is
-        # stubbed to a no-op so a fake "regression" is not rescued (or
-        # slowed down) by ten very real benchmark repetitions.
+        # bench module swaps in instant fake numbers.
         monkeypatch.setattr(
             bench,
             "run_benchmarks",
             lambda *, quick, progress=None, topology=None: dict(METRICS),
         )
-        monkeypatch.setattr(
-            bench,
-            "remeasure",
-            lambda metrics, names, **kw: dict(metrics),
-        )
         return METRICS
 
     def test_bench_writes_report(self, fake_metrics, tmp_path, capsys):
-        out = tmp_path / "BENCH_runtime.json"
+        out = tmp_path / "bench.json"
         assert main(["bench", "--quick", "--out", str(out)]) == 0
         assert load_report(str(out))["metrics"] == METRICS
         assert "msg_throughput_immutable" in capsys.readouterr().out
@@ -267,33 +194,6 @@ class TestCli:
         save_report(str(baseline), make_report(inflated))
         assert main(["bench", "--quick", "--check", str(baseline)]) == 1
 
-    def test_bench_check_remeasure_rescues_transient_dip(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        # First pass reads a dipped switch_rate; the best-of-N retry
-        # comes back healthy, so the check passes instead of flagging a
-        # phantom regression.
-        dipped = dict(METRICS, switch_rate=METRICS["switch_rate"] * 0.5)
-        monkeypatch.setattr(
-            bench,
-            "run_benchmarks",
-            lambda *, quick, progress=None, topology=None: dict(dipped),
-        )
-        retried: list[list[str]] = []
-        monkeypatch.setattr(
-            bench,
-            "remeasure",
-            lambda metrics, names, **kw: retried.append(names)
-            or dict(metrics, switch_rate=METRICS["switch_rate"]),
-        )
-        baseline = tmp_path / "baseline.json"
-        save_report(str(baseline), make_report(METRICS))
-        assert main(["bench", "--quick", "--check", str(baseline)]) == 0
-        assert retried == [["switch_rate"]]
-        err = capsys.readouterr().err
-        assert "re-measuring" in err
-        assert "perf check passed" in err
-
     def test_bench_check_missing_baseline_errors(self, fake_metrics, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["bench", "--quick", "--check", str(missing)]) == 1
@@ -303,11 +203,22 @@ class TestCli:
             bench,
             "run_benchmarks",
             lambda *, quick, progress=None, topology=None: dict(
-                METRICS, batch_throughput_runs_s=1000.0
+                METRICS, msg_throughput_buffer=1000.0
             ),
         )
         baseline = tmp_path / "baseline.json"
         save_report(str(baseline), make_report(METRICS))  # predates the metric
         assert main(["bench", "--quick", "--check", str(baseline)]) == 0
         err = capsys.readouterr().err
-        assert "warning:" in err and "batch_throughput_runs_s" in err
+        assert "warning:" in err and "msg_throughput_buffer" in err
+        assert "perf check passed" in err
+
+    @pytest.mark.parametrize("text", ["{}", "[]", '{"metrics": {}}'])
+    def test_bench_check_against_an_empty_baseline_fails(
+            self, fake_metrics, tmp_path, capsys, text):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(text)
+        assert main(["bench", "--quick", "--check", str(baseline)]) == 1
+        err = capsys.readouterr().err
+        assert "nothing was compared" in err
+        assert "perf check passed" not in err

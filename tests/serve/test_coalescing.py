@@ -38,7 +38,7 @@ def _body(seed, np, parallel, *, spell_defaults=False, use_np=False):
 
 def _stubbed_service(**cfg):
     """A service whose executions are instant, counted, and deterministic."""
-    service = PatternletService(ServeConfig(use_cache=False, **cfg))
+    service = PatternletService(ServeConfig(**{"use_cache": False, **cfg}))
     calls = []
 
     async def dispatch(spec):
@@ -108,6 +108,24 @@ class TestServiceTiers:
         assert served.count("coalesce") == 39
         assert service.c_coalesce.total() == 39.0
         assert service.c_executions.total() == 1.0
+
+    def test_requests_behind_a_cache_read_join_one_flight(self, tmp_path):
+        # The cache tier's read yields the loop, so every request of the
+        # burst misses the (empty) store before any flight exists; each
+        # must look again and attach to the first one's flight.
+        spec = parse_run_request(_body(0, 4, True))
+        service, calls = _stubbed_service(use_cache=True,
+                                          cache_dir=str(tmp_path))
+        try:
+            results = asyncio.run(_burst(service, [spec] * 20))
+        finally:
+            service.close()
+        assert len(calls) == 1
+        served = [tier for _, _, tier in results]
+        assert served.count("execute") == 1
+        assert served.count("coalesce") == 19
+        assert service.c_cache_misses.total() == 1.0
+        assert service.c_coalesce.total() == 19.0
 
     def test_finished_flights_serve_from_the_memo(self):
         spec = parse_run_request(_body(1, 2, False))

@@ -183,6 +183,59 @@ class TestKeepAlive:
             conn.close()
 
 
+class TestCacheTierOffLoop:
+    def test_slow_record_read_does_not_stall_a_memo_hit(
+            self, tmp_path, monkeypatch):
+        # The cache tier reads its record off the event loop: while one
+        # request waits on a slow disk read, a memo hit still answers.
+        from repro.batch import run_specs
+        from repro.batch.cache import RunCache
+        from repro.batch.specs import spec_key
+        from repro.serve import parse_run_request
+
+        slow_doc = dict(RUN, seed=7)
+        slow_key = spec_key(parse_run_request(slow_doc))
+        run_specs([parse_run_request(slow_doc)], max_workers=1,
+                  use_cache=True, cache_dir=str(tmp_path))  # pre-fill
+        with running(cache_dir=str(tmp_path)) as daemon:
+            port = daemon.port
+            assert _request(port, "POST", "/run", RUN)[0] == 200
+            real_get = RunCache.get
+
+            def slow_get(cache, key):
+                if key == slow_key:
+                    time.sleep(0.5)
+                return real_get(cache, key)
+
+            monkeypatch.setattr(RunCache, "get", slow_get)
+            slow = []
+            reader = threading.Thread(target=lambda: slow.append(
+                _request(port, "POST", "/run", slow_doc)))
+            reader.start()
+            time.sleep(0.1)  # the slow read is under way
+            t0 = time.monotonic()
+            status, headers, _ = _request(port, "POST", "/run", RUN)
+            elapsed = time.monotonic() - t0
+            reader.join()
+            assert status == 200 and headers["x-patternlet-served"] == "memo"
+            assert elapsed < 0.1, f"memo hit waited {elapsed:.3f}s"
+            status, headers, doc = slow[0]
+            assert status == 200 and headers["x-patternlet-served"] == "cache"
+            assert doc["key"] == slow_key
+            service = daemon.service
+            assert service.c_executions.total() == 1.0
+            assert service.c_cache_hits.total() == 2.0
+            assert service.c_cache_misses.total() == 1.0
+
+    def test_report_falls_back_to_the_disk_record(self, tmp_path):
+        with running(cache_dir=str(tmp_path)) as daemon:
+            _, headers, doc = _request(daemon.port, "POST", "/run", RUN)
+        key = headers["x-patternlet-key"]
+        with running(cache_dir=str(tmp_path)) as daemon:  # empty memo
+            status, _, stored = _request(daemon.port, "GET", f"/report/{key}")
+        assert status == 200 and stored == doc
+
+
 class TestAdmission:
     def test_high_water_sheds_with_429_and_retry_after(self, tmp_path):
         cfg = ServeConfig(cache_dir=str(tmp_path), workers=1, queue_limit=0)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.batch.specs import spec_key
-from repro.serve import RequestError, parse_run_request, parse_sweep_request
+from repro.serve import (
+    RequestError,
+    ServeConfig,
+    parse_run_request,
+    parse_sweep_request,
+    running,
+)
 from repro.serve.service import MAX_SEED, MAX_TASKS
 
 
@@ -141,3 +147,21 @@ class TestSweepValidation:
                        {"patternlets": ["mpi.reduction", "no.such"],
                         "seeds": [0]},
                        max_cells=16) == 404
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize("deadline_ms", [0, -5.0, float("nan")])
+    def test_deadline_must_be_positive(self, deadline_ms):
+        # A zero deadline answered every execution 503, free slot or not.
+        with pytest.raises(ValueError, match="deadline_ms"):
+            ServeConfig(deadline_ms=deadline_ms)
+
+    def test_drain_timeout_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="drain_timeout_s"):
+            ServeConfig(drain_timeout_s=-1.0)
+        assert ServeConfig(drain_timeout_s=0.0).drain_timeout_s == 0.0
+
+    def test_embedders_get_the_same_check(self):
+        with pytest.raises(ValueError, match="deadline_ms"):
+            with running(deadline_ms=0):
+                pass

@@ -16,6 +16,23 @@ class TestParsing:
         )
         assert args.tasks == 8 and args.on == ["parallel"] and args.seed == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["--deadline-ms", "0"],
+        ["--deadline-ms", "-10"],
+        ["--deadline-ms", "nan"],
+        ["--drain-timeout", "-1"],
+    ])
+    def test_serve_rejects_out_of_range_timeouts(self, argv, capsys):
+        # Rejected before a daemon starts: exit 2, naming the flag.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--port", "0", *argv])
+        assert exc.value.code == 2
+        assert f"argument {argv[0]}" in capsys.readouterr().err
+
+    def test_serve_accepts_a_zero_drain_timeout(self):
+        args = build_parser().parse_args(["serve", "--drain-timeout", "0"])
+        assert args.drain_timeout == 0.0 and args.deadline_ms == 10_000.0
+
 
 class TestCommands:
     def test_inventory(self, capsys):

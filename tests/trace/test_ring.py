@@ -1,69 +1,17 @@
-"""Ring-mode storage and the one-attribute-read muting fast path."""
-
-import threading
+"""The recorder's head-keeping limit and the one-attribute-read muting
+fast path."""
 
 from repro.trace import TraceRecorder, muted, using_recorder
 from repro.trace import events as events_mod
 
 
 class TestRingMode:
-    def test_under_limit_behaves_like_plain_recorder(self):
-        rec = TraceRecorder(limit=10, ring=True)
-        for i in range(5):
-            rec.emit(f"k{i}", task="t")
-        assert [e.kind for e in rec.events()] == [f"k{i}" for i in range(5)]
-        assert rec.evicted == 0 and rec.dropped == 0
-
-    def test_overflow_keeps_the_tail(self):
-        rec = TraceRecorder(limit=4, ring=True)
-        for i in range(10):
-            rec.emit(f"k{i}", task="t")
-        # Head-keeping mode would retain k0..k3; the ring keeps k6..k9.
-        assert [e.kind for e in rec.events()] == ["k6", "k7", "k8", "k9"]
-        assert rec.evicted == 6
-        assert rec.dropped == 0
-        assert len(rec) == 4
-
-    def test_seq_numbers_keep_true_stream_position(self):
-        rec = TraceRecorder(limit=3, ring=True)
-        events = [rec.emit(f"k{i}", task="t") for i in range(7)]
-        # Every emit returns a live event (nothing is refused)...
-        assert all(ev is not None for ev in events)
-        assert [ev.seq for ev in events] == list(range(7))
-        # ...and the retained tail is oldest-first with contiguous seqs.
-        assert [e.seq for e in rec.events()] == [4, 5, 6]
-
-    def test_filters_apply_to_the_retained_tail(self):
-        rec = TraceRecorder(limit=4, ring=True)
-        for i in range(8):
-            rec.emit("even" if i % 2 == 0 else "odd", task="t", scope=f"s{i % 2}")
-        assert [e.seq for e in rec.events("even")] == [4, 6]
-        assert [e.seq for e in rec.events(scope="s1")] == [5, 7]
-
     def test_head_mode_still_drops(self):
-        rec = TraceRecorder(limit=2, ring=False)
+        rec = TraceRecorder(limit=2)
         rec.emit("a", task="t")
         rec.emit("b", task="t")
         assert rec.emit("c", task="t") is None
-        assert rec.dropped == 1 and rec.evicted == 0
-
-    def test_ring_is_thread_safe(self):
-        rec = TraceRecorder(limit=50, ring=True)
-
-        def spam():
-            for _ in range(200):
-                rec.emit("k", task="t")
-
-        threads = [threading.Thread(target=spam) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        evs = rec.events()
-        assert len(evs) == 50
-        assert rec.evicted == 800 - 50
-        # The tail is 50 consecutive stream positions ending at the last.
-        assert [e.seq for e in evs] == list(range(750, 800))
+        assert rec.dropped == 1
 
 
 class TestEmitFastPath:
