@@ -1,30 +1,32 @@
 """``repro.batch`` — parallel batch execution with a content-addressed run cache.
 
-The paper's workflows are batch-shaped: an instructor (or the selfcheck
-suite, or a grader) runs every patternlet across task counts, toggle
-states, and seeds.  This package executes such grids through a
-persistent worker pool and never recomputes a deterministic run it has
-already seen:
+The paper's workflows are batch-shaped: an instructor (or a grader)
+runs every patternlet across task counts, toggle states, and seeds.
+This package executes such grids through a persistent worker pool and
+never recomputes a deterministic run whose record it has stored:
 
 - :mod:`repro.batch.specs` — :class:`RunSpec` grids and SHA-256 content
   addresses over (patternlet source, engine fingerprint, toggles, np,
   scheduler identity, seed);
 - :mod:`repro.batch.cache` — the on-disk LRU record store
-  (``~/.cache/repro-runs``) and the ``run_patternlet`` interceptor that
-  serves it; multi-writer safe, so many processes share one root;
-- :mod:`repro.batch.results` — byte-faithful run records (full event
-  trace, span, and the text, summary and race verdict a sweep reports)
-  and batch summaries;
+  (``~/.cache/repro-runs``) and its one front-end,
+  :meth:`RunCache.outcome`, which answers a spec from its record's
+  stored verdicts or runs it once and stores the record; multi-writer
+  safe, so many processes share one root;
+- :mod:`repro.batch.results` — run records (the text, summary and race
+  verdict a sweep reports, plus span and the full event trace) and
+  batch summaries;
 - :mod:`repro.batch.pool` — the warm ``ProcessPoolExecutor`` fan-out
   with an in-process serial twin.
 
-Consumers: ``patternlet selfcheck`` (figure checks as one batch),
-``patternlet sweep`` (seed × np grids, ``--jobs N`` workers) and the
-serve daemon's execution lane.  The benchmark's ``grade-cold`` and
-``grade-warm`` workloads time the sweep path end to end.
+Consumers: ``patternlet sweep`` (seed × np grids, ``--jobs N`` workers)
+and the serve daemon's execution lane go through the cache;
+``patternlet selfcheck`` uses the pool only, and runs live.  The
+benchmark's ``grade-cold`` and ``grade-warm`` workloads time the sweep
+path end to end.
 """
 
-from repro.batch.cache import RunCache, cache_enabled, caching_runs, default_cache_dir
+from repro.batch.cache import RunCache, cache_enabled, default_cache_dir
 from repro.batch.pool import default_workers, map_calls, run_specs, shutdown_pool
 from repro.batch.results import (
     BatchReport,
@@ -39,7 +41,6 @@ from repro.batch.specs import (
     RunSpec,
     engine_fingerprint,
     figure_suite_specs,
-    key_for_config,
     spec_key,
     sweep_fingerprint,
 )
@@ -51,14 +52,12 @@ __all__ = [
     "RunOutcome",
     "RunSpec",
     "cache_enabled",
-    "caching_runs",
     "decode_value",
     "default_cache_dir",
     "default_workers",
     "encode_value",
     "engine_fingerprint",
     "figure_suite_specs",
-    "key_for_config",
     "map_calls",
     "run_from_record",
     "run_specs",

@@ -1,4 +1,4 @@
-"""The content-addressed run cache and its ``run_patternlet`` hook.
+"""The content-addressed run cache.
 
 Records live under one root (default ``~/.cache/repro-runs/``) as
 ``<key[:2]>/<key>.json`` — the key is the SHA-256 from
@@ -8,6 +8,11 @@ from; there is no TTL and no explicit invalidation, only keys that stop
 being asked for.  A size cap (default 256 MiB) is enforced LRU-style:
 reads touch the record's mtime, and pruning drops the stalest records
 first.
+
+Only a key of that form — 64 lowercase hex digits — names a record.
+Any other key (one a client typed into ``GET /report/<key>``, say) is a
+miss that opens, stats, writes and unlinks nothing, so no key can reach
+a file outside the root.
 
 Environment knobs (the escape hatches):
 
@@ -28,61 +33,40 @@ record or the new one, never a torn one), the pruning walk tolerates
 records and whole fan-out directories deleted mid-scan by a concurrent
 pruner, and an eviction is only counted by the process whose ``unlink``
 actually removed the file — two caches pruning the same root cannot
-double-count one eviction between them.
+double-count one eviction between them.  Two processes that miss the
+same key at once both compute it; the record is deterministic, so the
+second write replaces the first with the same bytes.
 
-The disk store is the second of two tiers: content addresses make
-records immutable-by-key, so each process also keeps a small record
-memo (:mod:`repro.batch.results`) and repeat hits skip the JSON parse
-and event rebuild entirely.  The memo is valid even where the disk is
-not writable — it is filled on the store path regardless of ``put``'s
-outcome.
-
-:class:`caching_runs` is the consumer-facing hook: a context manager
-that installs a :func:`~repro.core.registry.set_run_interceptor` serving
-deterministic ``run_patternlet`` calls from the store and persisting the
-misses.  The batch pool enters it around worker calls; ``patternlet
-selfcheck`` and ``patternlet sweep`` enter it around whole passes.  Its
-one lookup-or-compute step has two front-ends: the interceptor, which
-hands back a whole run (events decoded) for callers that read the
-trace, and :meth:`caching_runs.outcome`, which hands a sweep cell its
-outcome from the record's stored verdicts without decoding the events.
+:meth:`RunCache.outcome` is the cache's one front-end: the batch
+pool's ``_exec_spec`` hands it a spec, its key and a way to run it, and
+gets back the spec's outcome — from the record's stored verdicts on a
+hit (no events decoded), or from one live run whose record it stores.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping
 
 from repro.batch.results import (
     RECORD_SCHEMA,
     RunOutcome,
-    memo_entry,
-    memo_record,
     outcome_from_record,
     outcome_from_run,
-    run_from_entry,
-    run_from_record,
     run_to_record,
 )
-from repro.batch.specs import key_for_config
 from repro.core.capture import CapturedRun
-from repro.core.registry import (
-    Patternlet,
-    RunConfig,
-    run_interceptor,
-    set_run_interceptor,
-)
 from repro.errors import CacheUnserializable
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
     "RunCache",
     "cache_enabled",
-    "caching_runs",
     "default_cache_dir",
 ]
 
@@ -153,7 +137,12 @@ class RunCache:
         A hit touches the file's mtime (the LRU clock).  Unreadable,
         corrupt, or schema-mismatched records are misses (and corrupt
         files are removed so they cannot keep costing a parse attempt).
+        A key that is not a content address is a miss that touches no
+        file.
         """
+        if not _is_key(key):
+            self.misses += 1
+            return None
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
@@ -180,8 +169,11 @@ class RunCache:
         The record is serialised before any file exists, so one that
         will not serialise leaves nothing behind, then written with one
         ``write`` (the streaming encoder costs more than the run for
-        small cells).
+        small cells).  A key that is not a content address stores
+        nothing.
         """
+        if not _is_key(key):
+            return False
         try:
             blob = json.dumps(record, separators=(",", ":")).encode()
         except (TypeError, ValueError):
@@ -208,6 +200,31 @@ class RunCache:
         if due:
             self.prune()
         return True
+
+    def outcome(
+        self, spec: Any, key: str, execute: Callable[[], CapturedRun]
+    ) -> RunOutcome:
+        """``spec``'s :class:`RunOutcome`, stored under its content address ``key``.
+
+        A hit is built from the record's stored verdicts and decodes no
+        events.  A miss, or a record too malformed to report from, runs
+        ``execute()`` once, stores the run's record and reports the
+        verdicts that write derived.  A run that is not expressible as a
+        record is reported uncached.
+        """
+        record = self.get(key)
+        if record is not None:
+            try:
+                return outcome_from_record(spec, key, record)
+            except (KeyError, TypeError, ValueError):
+                pass  # malformed record: run live and replace it
+        run = execute()
+        try:
+            record = run_to_record(run, key=key)
+        except CacheUnserializable:
+            return outcome_from_run(spec, key, run)
+        self.put(key, record)
+        return outcome_from_record(spec, key, record, cached=False)
 
     def _records(self) -> list[tuple[float, int, Path]]:
         # Hand-rolled two-level walk instead of ``glob("*/*.json")``: a
@@ -287,215 +304,17 @@ class RunCache:
         }
 
 
+_KEY_FORM = re.compile(r"[0-9a-f]{64}")
+
+
+def _is_key(key: Any) -> bool:
+    """True for a content address: 64 lowercase hex digits, as ``spec_key`` makes."""
+    return isinstance(key, str) and _KEY_FORM.fullmatch(key) is not None
+
+
 def _quiet_unlink(path: Path) -> bool:
     try:
         path.unlink()
         return True
     except OSError:
         return False
-
-
-# -- in-process single flight -------------------------------------------------
-#
-# The disk store already makes concurrent *processes* safe (worst case
-# two workers race to compute one key once); this closes the same gap
-# for concurrent *threads* in one process: the first thread to miss a
-# key becomes its flight leader and computes it, any other thread
-# missing the same key waits for the leader and then re-reads the memo/
-# store instead of computing a duplicate.  The serve daemon leans on
-# this around its cache get/put path, and any embedding application
-# whose threads share one installed ``caching_runs`` context gets it
-# for free.  (Enter the context once — the interceptor slot is
-# process-global, so concurrent per-thread enter/exit would race its
-# save/restore.)
-
-#: Longest a follower waits on a flight leader before running live — a
-#: liveness backstop, not a correctness bound (duplicated computation of
-#: a deterministic key is merely wasted work).
-FLIGHT_WAIT_S = 60.0
-
-_FLIGHT_LOCK = threading.Lock()
-_FLIGHTS: dict[tuple[str, str], threading.Event] = {}
-
-
-def _begin_flight(scope: str, key: str) -> "threading.Event | None":
-    """Open (or join) the flight for ``key``: ``None`` means *you lead*."""
-    with _FLIGHT_LOCK:
-        ev = _FLIGHTS.get((scope, key))
-        if ev is None:
-            _FLIGHTS[(scope, key)] = threading.Event()
-            return None
-        return ev
-
-
-def _end_flight(scope: str, key: str) -> None:
-    """Close the flight for ``key`` and release every waiting follower."""
-    with _FLIGHT_LOCK:
-        ev = _FLIGHTS.pop((scope, key), None)
-    if ev is not None:
-        ev.set()
-
-
-_T = TypeVar("_T")
-
-
-class caching_runs:
-    """Serve deterministic ``run_patternlet`` calls from a :class:`RunCache`.
-
-    ::
-
-        with caching_runs(RunCache(tmpdir)):
-            run_selfcheck()          # lockstep runs computed at most once
-
-    ``enabled=None`` defers to :func:`cache_enabled` (the ``REPRO_CACHE``
-    escape hatch); when disabled the context is a no-op.  Nesting is
-    safe: the previous interceptor is saved and restored.
-    """
-
-    def __init__(self, cache: RunCache | None = None, *, enabled: bool | None = None):
-        self.enabled = cache_enabled() if enabled is None else enabled
-        self.cache = cache if cache is not None else (RunCache() if self.enabled else None)
-        self._prev: Any = None
-        self._installed = False
-
-    def __enter__(self) -> "caching_runs":
-        if self.enabled:
-            self._prev = set_run_interceptor(self._intercept)
-            self._installed = True
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._installed:
-            set_run_interceptor(self._prev)
-            self._installed = False
-
-    @staticmethod
-    def installed() -> "caching_runs | None":
-        """The innermost entered context in this process, if any."""
-        owner = getattr(run_interceptor(), "__self__", None)
-        return owner if isinstance(owner, caching_runs) else None
-
-    # -- the two front-ends ----------------------------------------------------
-
-    def _intercept(
-        self, p: Patternlet, cfg: RunConfig, execute: Callable[[], CapturedRun]
-    ) -> CapturedRun:
-        """The trace front-end: a whole run, its events decoded on a hit."""
-        assert self.cache is not None
-        key = key_for_config(p, cfg)
-        if key is None:  # thread-mode or unkeyable extras: always live
-            return execute()
-        return self._lookup_or_compute(
-            key, self._served_run, lambda: self._compute(key, execute)[0]
-        )
-
-    def outcome(
-        self, spec: Any, key: str, execute: Callable[[], CapturedRun]
-    ) -> RunOutcome:
-        """The outcome front-end: ``spec``'s :class:`RunOutcome` under ``key``.
-
-        A hit is built from the record's stored verdicts and never
-        decodes the events; a miss runs ``execute()`` once and reports
-        the verdicts its record write derived.  ``key`` must be the
-        spec's content address.
-        """
-        assert self.cache is not None
-
-        def computed() -> RunOutcome:
-            run, record = self._compute(key, execute)
-            if record is None:  # not expressible as a record: uncached
-                return outcome_from_run(spec, key, run)
-            return outcome_from_record(spec, key, record, cached=False)
-
-        return self._lookup_or_compute(
-            key, lambda scope, k: self._served_outcome(spec, scope, k), computed
-        )
-
-    # -- the shared lookup-or-compute step -------------------------------------
-
-    def _lookup_or_compute(
-        self,
-        key: str,
-        serve: Callable[[str, str], "_T | None"],
-        compute: Callable[[], _T],
-    ) -> _T:
-        """``serve`` ``key`` from the memo or disk, else ``compute`` it once.
-
-        ``compute`` runs under this process's single flight for the key.
-        """
-        assert self.cache is not None
-        scope = str(self.cache.root)
-        served = serve(scope, key)
-        if served is not None:
-            return served
-        follow = _begin_flight(scope, key)
-        if follow is not None:
-            # Another thread is already computing this key: wait it out,
-            # then re-read the tiers it filled.  A leader that failed (or
-            # outran the backstop) leaves us computing live — duplicated
-            # work on a deterministic key, never a wrong answer.
-            follow.wait(FLIGHT_WAIT_S)
-            served = serve(scope, key)
-            if served is not None:
-                return served
-            return compute()
-        try:
-            return compute()
-        finally:
-            _end_flight(scope, key)
-
-    def _served_run(self, scope: str, key: str) -> CapturedRun | None:
-        """``key`` as a whole run from the memo or disk (``None`` = miss)."""
-        assert self.cache is not None
-        entry = memo_entry(scope, key)
-        if entry is not None and entry["events"] is not None:
-            self.cache.hits += 1  # already decoded in this process
-            return run_from_entry(entry)
-        record = self.cache.get(key)
-        if record is not None:
-            try:
-                run = run_from_record(record)
-            except (CacheUnserializable, KeyError, TypeError, ValueError):
-                pass  # unreadable record: fall through to a live run
-            else:
-                memo_record(scope, key, record, run.trace.events())
-                return run
-        return None
-
-    def _served_outcome(self, spec: Any, scope: str, key: str) -> RunOutcome | None:
-        """``key``'s outcome from the memo or disk (``None`` = miss)."""
-        assert self.cache is not None
-        entry = memo_entry(scope, key)
-        if entry is not None:
-            self.cache.hits += 1
-            record = entry
-        else:
-            record = self.cache.get(key)
-            if record is None:
-                return None
-        try:
-            outcome = outcome_from_record(spec, key, record)
-        except (KeyError, TypeError, ValueError):
-            return None  # unreadable record: fall through to a live run
-        if entry is None:
-            memo_record(scope, key, record)
-        return outcome
-
-    def _compute(
-        self, key: str, execute: Callable[[], CapturedRun]
-    ) -> tuple[CapturedRun, dict[str, Any] | None]:
-        """Run live and persist the result under ``key`` (memo + disk).
-
-        Returns the run and its record (``None`` when the run is not
-        expressible as one and stays uncached).
-        """
-        assert self.cache is not None
-        run = execute()
-        try:
-            record = run_to_record(run, key=key)
-        except CacheUnserializable:
-            return run, None
-        # The memo is valid even if the disk is not.
-        memo_record(str(self.cache.root), key, record, run.trace.events())
-        self.cache.put(key, record)
-        return run, record

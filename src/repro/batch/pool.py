@@ -17,11 +17,13 @@ Work arrives as picklable items plus a module-level function to apply
   twin; results are identical either way (the equivalence tests pin
   this), so the fallback is silent.
 
-Every worker call runs inside :class:`~repro.batch.cache.caching_runs`,
-so deterministic runs are computed at most once across all workers: the
-on-disk store is the coordination point, and its atomic writes make
-concurrent workers safe (worst case two workers race to compute the
-same key once).
+With the cache on, each process opens the :class:`~repro.batch.cache.RunCache`
+at ``cache_dir`` and hands it to ``fn`` as a second argument; that is
+how :func:`run_specs`' cells reach the cache's one front-end,
+:meth:`~repro.batch.cache.RunCache.outcome`.  The on-disk store is the
+only state workers share: its atomic writes make concurrent workers
+safe, and a deterministic run is computed once per sweep unless two
+workers miss its key at the same moment.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.batch.cache import RunCache, cache_enabled, caching_runs
+from repro.batch.cache import RunCache, cache_enabled
 from repro.batch.results import BatchReport, RunOutcome, outcome_from_run
 from repro.batch.specs import RunSpec, spec_key
+from repro.core.capture import CapturedRun
 
 __all__ = [
     "default_workers",
@@ -123,26 +126,25 @@ def _merge_stats(into: "dict[str, int] | None", stats: dict[str, int]) -> None:
 
 
 def _entry(
-    payload: tuple[Callable[[Any], Any], Any, str | None, bool]
+    payload: tuple[Callable[..., Any], Any, str | None, bool]
 ) -> tuple[Any, dict[str, int]]:
-    # Runs on a worker: apply fn to one item under the run cache.  The
-    # cache's own hit/miss/store counters ride back with the result so
-    # the parent can aggregate them across workers.
+    # Runs on a worker: apply fn to one item, handing it this process's
+    # run cache when caching is on.  The cache's own hit/miss/store
+    # counters ride back with the result so the parent can aggregate
+    # them across workers.
     fn, item, cache_dir, use_cache = payload
-    cache = RunCache(cache_dir) if (use_cache and cache_dir is not None) else None
-    cm = caching_runs(cache, enabled=use_cache)
-    with cm:
-        result = fn(item)
-    stats = cm.cache.stats() if cm.cache is not None else dict(_ZERO_STATS)
-    return result, stats
+    if not use_cache:
+        return fn(item), dict(_ZERO_STATS)
+    cache = RunCache(cache_dir)
+    return fn(item, cache), cache.stats()
 
 
 def submit_one(
-    fn: Callable[[Any], Any],
+    fn: Callable[..., Any],
     item: Any,
     *,
     workers: int,
-    use_cache: bool | None = None,
+    use_cache: bool = False,
     cache_dir: str | None = None,
 ) -> "Any | None":
     """Submit one call to the persistent pool without blocking on it.
@@ -159,39 +161,37 @@ def submit_one(
     """
     if workers <= 1:
         return None
-    use = cache_enabled() if use_cache is None else use_cache
     pool = _get_pool(workers)
     if pool is None:
         return None
     try:
-        return pool.submit(_entry, (fn, item, cache_dir, use))
+        return pool.submit(_entry, (fn, item, cache_dir, use_cache))
     except Exception:  # noqa: BLE001 - a broken pool degrades, never fails
         shutdown_pool()
         return None
 
 
 def _run_serial(
-    fn: Callable[[Any], Any],
+    fn: Callable[..., Any],
     items: Sequence[Any],
     cache_dir: str | None,
     use_cache: bool,
     stats_out: "dict[str, int] | None" = None,
 ) -> list[Any]:
-    cache = RunCache(cache_dir) if (use_cache and cache_dir is not None) else None
-    cm = caching_runs(cache, enabled=use_cache)
-    with cm:
-        results = [fn(item) for item in items]
-    if cm.cache is not None:
-        _merge_stats(stats_out, cm.cache.stats())
+    if not use_cache:
+        return [fn(item) for item in items]
+    cache = RunCache(cache_dir)
+    results = [fn(item, cache) for item in items]
+    _merge_stats(stats_out, cache.stats())
     return results
 
 
 def map_calls(
-    fn: Callable[[Any], Any],
+    fn: Callable[..., Any],
     items: Iterable[Any],
     *,
     max_workers: int | None = None,
-    use_cache: bool | None = None,
+    use_cache: bool = False,
     cache_dir: str | None = None,
     stats_out: "dict[str, int] | None" = None,
 ) -> tuple[list[Any], int, bool]:
@@ -200,59 +200,63 @@ def map_calls(
     ``fn`` must be a module-level callable (pickled by reference) that
     catches its own per-item failures — the pool treats an escaped
     exception as infrastructure failure and re-runs the batch serially.
+    With ``use_cache`` it is called as ``fn(item, cache)``, ``cache``
+    being the calling process's :class:`~repro.batch.cache.RunCache` at
+    ``cache_dir`` (``None``: the default root); otherwise as ``fn(item)``.
     Returns ``(results, workers, pooled)``.  When ``stats_out`` is given,
     run-cache hit/miss/store counts (summed across every process that
     served the batch) are merged into it.
     """
     items = list(items)
-    use = cache_enabled() if use_cache is None else use_cache
     workers = default_workers(len(items)) if max_workers is None else max(1, max_workers)
     if workers <= 1 or len(items) <= 1:
-        return _run_serial(fn, items, cache_dir, use, stats_out), 1, False
+        return _run_serial(fn, items, cache_dir, use_cache, stats_out), 1, False
     pool = _get_pool(workers)
     if pool is None:
-        return _run_serial(fn, items, cache_dir, use, stats_out), 1, False
-    payloads = [(fn, item, cache_dir, use) for item in items]
+        return _run_serial(fn, items, cache_dir, use_cache, stats_out), 1, False
+    payloads = [(fn, item, cache_dir, use_cache) for item in items]
     try:
         pairs = list(pool.map(_entry, payloads))
     except Exception:  # noqa: BLE001 - a broken pool degrades, never fails
         shutdown_pool()
-        return _run_serial(fn, items, cache_dir, use, stats_out), 1, False
+        return _run_serial(fn, items, cache_dir, use_cache, stats_out), 1, False
     for _, stats in pairs:
         _merge_stats(stats_out, stats)
     return [result for result, _ in pairs], workers, True
 
 
-def _exec_spec(spec: RunSpec) -> RunOutcome:
+def _exec_spec(spec: RunSpec, cache: RunCache | None = None) -> RunOutcome:
     """Run one spec (on whichever process) and summarise it.
 
-    Under an installed :class:`~repro.batch.cache.caching_runs` a keyed
-    spec takes the cache's outcome front-end: one lookup, a hit reported
-    from the record's stored verdicts, a miss executed and derived once
-    as its record is written.  Anything else runs through
-    ``run_patternlet`` and derives its summary once.
+    With a ``cache``, a keyed spec goes through the cache's front-end
+    (:meth:`~repro.batch.cache.RunCache.outcome`): one lookup, a hit
+    reported from the record's stored verdicts, a miss executed and
+    derived once as its record is written.  Anything else runs live and
+    derives its summary once.
     """
-    from repro.core.registry import prepare_run, run_patternlet
+    from repro.core.registry import run_patternlet
 
     try:
         key = spec_key(spec)
     except Exception:  # noqa: BLE001 - an unkeyable spec may still run (or fail)
         key = None
-    runs = caching_runs.installed() if key is not None else None
-    kwargs = dict(
-        tasks=spec.tasks,
-        toggles=spec.toggle_dict or None,
-        mode=spec.mode,
-        seed=spec.seed,
-        policy=spec.policy,
-        topology=spec.topology,
-        **spec.extra_dict,
-    )
+
+    def execute() -> CapturedRun:
+        return run_patternlet(
+            spec.patternlet,
+            tasks=spec.tasks,
+            toggles=spec.toggle_dict or None,
+            mode=spec.mode,
+            seed=spec.seed,
+            policy=spec.policy,
+            topology=spec.topology,
+            **spec.extra_dict,
+        )
+
     try:
-        if runs is not None:
-            _, _, execute = prepare_run(spec.patternlet, **kwargs)
-            return runs.outcome(spec, key, execute)
-        run = run_patternlet(spec.patternlet, **kwargs)
+        if cache is not None and key is not None:
+            return cache.outcome(spec, key, execute)
+        return outcome_from_run(spec, key, execute())
     except Exception as exc:  # noqa: BLE001 - reported per-outcome
         return RunOutcome(
             spec=spec,
@@ -264,7 +268,6 @@ def _exec_spec(spec: RunSpec) -> RunOutcome:
             races=0,
             error=f"{type(exc).__name__}: {exc}",
         )
-    return outcome_from_run(spec, key, run)
 
 
 def run_specs(
@@ -278,7 +281,8 @@ def run_specs(
 
     Order of ``outcomes`` matches the order of ``specs``.  Each outcome
     carries the run's full printed text, span, happens-before race
-    count, and whether it was served from the cache.
+    count, and whether it was served from the cache.  ``use_cache=None``
+    defers to :func:`~repro.batch.cache.cache_enabled` (``REPRO_CACHE``).
     """
     specs = list(specs)
     t0 = time.perf_counter()
@@ -287,7 +291,7 @@ def run_specs(
         _exec_spec,
         specs,
         max_workers=max_workers,
-        use_cache=use_cache,
+        use_cache=cache_enabled() if use_cache is None else use_cache,
         cache_dir=cache_dir,
         stats_out=cache_stats,
     )

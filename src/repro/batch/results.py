@@ -1,15 +1,26 @@
 """Run records and batch results: how a captured run crosses a boundary.
 
-A cached (or pooled) run must survive two hostile crossings — process →
-process and process → disk → process — **byte-identically**: the figure
-checks read not just the printed text but the full event trace (the
-Fig. 22 check re-proves its race from the happens-before edges), so a
-served run must rebuild the *entire* stream with perfect fidelity.
+A run record is one JSON document per content-addressed cache entry
+(schema 2).  It carries the verdicts a sweep or the serve daemon
+reports — the printed ``text``, the :func:`~repro.obs.derive.run_summary`
+dict (kept as its own JSON text) and its ``races`` count — derived once
+when the record is written, plus the run's span, wall time, metadata,
+result (when expressible) and its full event stream.
+:func:`outcome_from_record` builds a :class:`RunOutcome` from the stored
+verdicts alone; it is the only way any sweep or serve read uses a
+record, so a hit never rebuilds the event stream.
 
-JSON alone cannot do that (it collapses tuples — happens-before keys
-like ``("mutex", 3)`` — into lists, which are unhashable and would
-silently break the race detector).  The codec here closes the gap with a
-tagged canonical form:
+The events are stored losslessly, and :func:`run_from_record` rebuilds a
+whole :class:`~repro.core.capture.CapturedRun` from them — prints,
+per-task records, span and the happens-before analyses behave as they
+did on the original run.  No production path reads a run back; the
+decoder stays as the tested reader of the stored stream until records
+stop storing events.
+
+JSON alone cannot store a stream faithfully (it collapses tuples —
+happens-before keys like ``("mutex", 3)`` — into lists, which are
+unhashable and would silently break the race detector).  The codec here
+closes the gap with a tagged canonical form:
 
 ========  =====================================
 value     encoding
@@ -24,38 +35,15 @@ Every container is tagged, so the decode is unambiguous; anything
 outside the vocabulary raises :class:`~repro.errors.CacheUnserializable`
 and the run simply executes live instead of being cached.
 
-:func:`run_to_record` / :func:`run_from_record` turn a
-:class:`~repro.core.capture.CapturedRun` into one JSON document (events,
-span, wall, metadata, result when expressible) and back.  The record
-also carries the verdicts a sweep reports, derived once when it is
-written: the printed ``text``, the :func:`~repro.obs.derive.run_summary`
-dict (kept as its own JSON text) and its ``races`` count.
-:func:`outcome_from_record` builds a :class:`RunOutcome` from those
-stored fields alone, so a sweep or serve hit never rebuilds the event
-stream; only callers that read the trace itself (figure checks, race
-reports, metrics) decode the events.  :class:`RunOutcome` /
-:class:`BatchReport` are the batch runner's per-run and per-batch
-summaries.
-
-Above the disk store sits a small in-process memo: because keys are
-content addresses (same key ⇒ same record, by construction), a record
-read once per process never needs reading again, and one decoded once
-never needs decoding again — repeat hits share the same frozen
-:class:`~repro.trace.events.Event` objects and skip both the JSON parse
-and the event rebuild.  The mutable per-run bits (``meta``, ``result``,
-``summary``) stay in their wire form and are decoded on each serve, so
-served runs and outcomes never alias each other's mutable state.  The
-summary's wire form is its JSON text: the summary is plain JSON by
-construction and is only ever read whole, and in the memo the text
-takes about 0.55 KB per lab-grid cell against 4.2 KB parsed (7.6 KB in
-the tagged form).
+:class:`RunOutcome` / :class:`BatchReport` are the batch runner's
+per-run and per-batch summaries.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.core.capture import CapturedRun
 from repro.errors import CacheUnserializable
@@ -68,11 +56,8 @@ __all__ = [
     "RunOutcome",
     "decode_value",
     "encode_value",
-    "memo_entry",
-    "memo_record",
     "outcome_from_record",
     "outcome_from_run",
-    "run_from_entry",
     "run_from_record",
     "run_to_record",
 ]
@@ -266,63 +251,13 @@ def outcome_from_run(spec: Any, key: str | None, run: CapturedRun) -> "RunOutcom
     return RunOutcome(
         spec=spec,
         key=key,
-        cached=bool(run.meta.get("cached")),
+        cached=False,
         text=run.text,
         span=run.span,
         wall=run.wall,
         races=summary["races"],
         metrics=summary,
     )
-
-
-# -- the in-process record memo -----------------------------------------------
-
-#: Entry cap; eviction is insertion-ordered (oldest first), which is fine
-#: for a per-process working set this size.
-_MEMO_CAP = 512
-
-_memo: dict[tuple[str, str], dict[str, Any]] = {}
-
-
-def _memo_clear() -> None:
-    _memo.clear()
-
-
-def memo_entry(scope: str, key: str) -> Mapping[str, Any] | None:
-    """The memoized record for ``key`` in store ``scope``, or ``None``.
-
-    An entry is a record whose ``events`` field holds the decoded, frozen
-    event stream, or ``None`` when this process has only served outcomes
-    from it.  Treat it as read-only.
-    """
-    return _memo.get((scope, key))
-
-
-def memo_record(
-    scope: str,
-    key: str,
-    record: Mapping[str, Any],
-    events: "Iterable[Event] | None" = None,
-) -> None:
-    """Memoize ``record`` under its content ``key``, scoped to one store.
-
-    ``scope`` is the owning cache's root path: the memo mirrors a
-    *store*, so two caches at different roots stay fully isolated even
-    inside one process (``--cache-dir`` must mean what it says).
-    ``events`` is the run's event stream when this process has it (a
-    live run or a decoded record): it is shared directly, so no decode
-    ever happens again for this key.  The record's wire-form events are
-    dropped either way.
-    """
-    k = (scope, key)
-    if len(_memo) >= _MEMO_CAP and k not in _memo:
-        _memo.pop(next(iter(_memo)))
-    _memo[k] = dict(record, events=tuple(events) if events is not None else None)
-
-
-def run_from_entry(entry: Mapping[str, Any]) -> CapturedRun:
-    """A served run from a memo entry whose events are decoded."""
-    return _rebuild(entry["events"], entry)
 
 
 def _rebuild(events: tuple[Event, ...], record: Mapping[str, Any]) -> CapturedRun:

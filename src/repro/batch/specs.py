@@ -37,13 +37,12 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro._version import __version__
-from repro.core.registry import Patternlet, RunConfig, get_patternlet
+from repro.core.registry import get_patternlet
 
 __all__ = [
     "RunSpec",
     "engine_fingerprint",
     "figure_suite_specs",
-    "key_for_config",
     "patternlet_source",
     "spec_key",
     "sweep_fingerprint",
@@ -198,33 +197,6 @@ def _key_digest(
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def key_for_config(p: Patternlet, cfg: RunConfig) -> str | None:
-    """Cache key for a resolved run, or ``None`` when it is not cacheable.
-
-    Not cacheable: non-lockstep modes (real-thread nondeterminism) and
-    extras that do not serialise to canonical JSON.
-    """
-    if cfg.mode != "lockstep":
-        return None
-    from repro.mp.communicators import default_topology
-
-    try:
-        return _key_digest(
-            patternlet=p.name,
-            source=patternlet_source(p.name),
-            engine=engine_fingerprint(),
-            tasks=cfg.tasks,
-            toggles=cfg.toggles.as_dict(),
-            mode=cfg.mode,
-            seed=cfg.seed,
-            policy=cfg.policy,
-            extra=cfg.extra,
-            topology=cfg.topology or default_topology(),
-        )
-    except (TypeError, ValueError):
-        return None
 
 
 def spec_key(spec: RunSpec) -> str | None:

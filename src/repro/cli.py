@@ -19,9 +19,9 @@ exactly the workflow of the paper's live-coding demos:
     patternlet catalog
 
 ``sweep`` and ``selfcheck`` go through :mod:`repro.batch`: runs fan
-across a persistent worker pool (``--jobs``) and deterministic runs are
-served from the content-addressed run cache (``--no-cache`` or
-``REPRO_CACHE=0`` to opt out).
+across a persistent worker pool (``--jobs``).  ``sweep`` also serves
+deterministic runs from the content-addressed run cache (``--no-cache``
+or ``REPRO_CACHE=0`` to opt out); ``selfcheck`` always runs live.
 
 ``bench`` times the engine itself.  Wall clocks only compare on the
 machine that took them, so ``--check`` reads a report that ``--out``
@@ -167,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes for the check batch "
                               "(default 1 = in-process)")
-    p_check.add_argument("--no-cache", action="store_true",
-                         help="recompute every run; skip the run cache")
-    p_check.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="run-cache location (default ~/.cache/repro-runs)")
 
     p_sweep = sub.add_parser(
         "sweep", help="run a seeds x tasks grid through the batch runner "
@@ -455,14 +451,7 @@ def _cmd_source(name: str) -> int:
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     from repro.core.selfcheck import run_selfcheck
 
-    cache_stats: dict = {}
-    results = run_selfcheck(
-        only=args.figure,
-        jobs=args.jobs,
-        use_cache=False if args.no_cache else None,
-        cache_dir=args.cache_dir,
-        stats_out=cache_stats,
-    )
+    results = run_selfcheck(only=args.figure, jobs=args.jobs)
     if not results:
         print(f"error: unknown figure {args.figure!r}", file=sys.stderr)
         return 1
@@ -472,13 +461,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         mark = "PASS" if r.passed else "FAIL"
         failures += 0 if r.passed else 1
         print(f"{r.figure:<{width}}  {mark}  {r.description}  [{r.detail}]")
-    hits, misses, stores = (
-        cache_stats.get(key, 0) for key in ("hits", "misses", "stores")
-    )
-    print(
-        f"\n{len(results) - failures}/{len(results)} figure checks passed — "
-        f"cache: {hits} hits / {misses} misses / {stores} stored"
-    )
+    print(f"\n{len(results) - failures}/{len(results)} figure checks passed")
     return 0 if failures == 0 else 1
 
 

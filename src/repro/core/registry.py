@@ -38,10 +38,7 @@ __all__ = [
     "get_patternlet",
     "all_patternlets",
     "inventory",
-    "prepare_run",
-    "run_interceptor",
     "run_patternlet",
-    "set_run_interceptor",
 ]
 
 #: The paper's four backend families.
@@ -181,34 +178,6 @@ def inventory() -> dict[str, int]:
     return counts
 
 
-#: When set, every non-echo :func:`run_patternlet` call is routed through
-#: this callable as ``interceptor(patternlet, cfg, execute)`` where
-#: ``execute()`` performs (and returns) the real captured run.  The batch
-#: layer's content-addressed run cache installs itself here: it can serve a
-#: stored :class:`CapturedRun` without calling ``execute`` at all, or call
-#: it and persist the outcome.  Process-wide, like the registry itself.
-RunInterceptor = Callable[[Patternlet, RunConfig, Callable[[], CapturedRun]], CapturedRun]
-
-_RUN_INTERCEPTOR: RunInterceptor | None = None
-
-
-def set_run_interceptor(fn: RunInterceptor | None) -> RunInterceptor | None:
-    """Install ``fn`` as the run interceptor (``None`` clears it).
-
-    Returns the previously installed interceptor so callers can nest:
-    save the return value, restore it on exit.
-    """
-    global _RUN_INTERCEPTOR
-    prev = _RUN_INTERCEPTOR
-    _RUN_INTERCEPTOR = fn
-    return prev
-
-
-def run_interceptor() -> RunInterceptor | None:
-    """The installed run interceptor (``None`` when runs execute directly)."""
-    return _RUN_INTERCEPTOR
-
-
 def run_patternlet(
     name: str,
     *,
@@ -232,37 +201,6 @@ def run_patternlet(
     else binomial) so the chosen topology is always recorded in the run's
     metadata.
     """
-    p, cfg, execute = prepare_run(
-        name, tasks=tasks, toggles=toggles, mode=mode, seed=seed,
-        policy=policy, topology=topology, echo=echo, **extra,
-    )
-    interceptor = _RUN_INTERCEPTOR
-    if interceptor is not None and not echo:
-        # echo streams to the real stdout as the run happens; a served
-        # cache record has no live stream, so echoing runs stay direct.
-        return interceptor(p, cfg, execute)
-    return execute()
-
-
-def prepare_run(
-    name: str,
-    *,
-    tasks: int | None = None,
-    toggles: Mapping[str, bool] | None = None,
-    mode: str = "lockstep",
-    seed: int = 0,
-    policy: str = "random",
-    topology: str | None = None,
-    echo: bool = False,
-    **extra: Any,
-) -> tuple[Patternlet, RunConfig, Callable[[], CapturedRun]]:
-    """Resolve a :func:`run_patternlet` call without running it.
-
-    Returns ``(patternlet, cfg, execute)``: ``execute()`` performs the
-    captured run and bypasses the interceptor, so a caller that manages
-    the run cache itself (the batch pool's outcome path) can hand it to
-    the cache as the compute step of a miss.
-    """
     p = get_patternlet(name)
     if tasks is not None and tasks <= 0:
         raise RegistryError(f"tasks must be positive, got {tasks}")
@@ -279,18 +217,14 @@ def prepare_run(
         topology=topology,
         extra=dict(extra),
     )
-
-    def _execute() -> CapturedRun:
-        run = capture_run(p.main, cfg, echo=echo)
-        run.meta.update(
-            patternlet=p.name,
-            backend=p.backend,
-            tasks=cfg.tasks,
-            toggles=cfg.toggles.as_dict(),
-            mode=mode,
-            seed=seed,
-            topology=cfg.topology,
-        )
-        return run
-
-    return p, cfg, _execute
+    run = capture_run(p.main, cfg, echo=echo)
+    run.meta.update(
+        patternlet=p.name,
+        backend=p.backend,
+        tasks=cfg.tasks,
+        toggles=cfg.toggles.as_dict(),
+        mode=mode,
+        seed=seed,
+        topology=cfg.topology,
+    )
+    return run

@@ -8,10 +8,10 @@ the benchmark suite covers the same ground with timing attached, but this
 module needs nothing beyond the library itself.
 
 The checks are submitted as one batch through :mod:`repro.batch`: with
-``jobs > 1`` they fan across the persistent worker pool, and (unless
-disabled) every deterministic patternlet run inside a check is served
-from the content-addressed run cache — a warm selfcheck recomputes only
-the genuinely nondeterministic Fig. 30 timing run.
+``jobs > 1`` they fan across the persistent worker pool.  Every check
+runs live: the checks read whole traces (Fig. 22 re-proves its race
+from the happens-before edges), and the run cache answers only with a
+record's stored verdicts.
 """
 
 from __future__ import annotations
@@ -220,19 +220,11 @@ def run_selfcheck(
     only: str | None = None,
     *,
     jobs: int | None = None,
-    use_cache: bool | None = None,
-    cache_dir: str | None = None,
-    stats_out: dict | None = None,
 ) -> list[CheckResult]:
     """Run all (or one) figure checks; never raises, always reports.
 
     The checks go through the batch layer as one submission: ``jobs``
-    sets the worker-process count (default 1 — in-process, which a cold
-    cache keeps exactly as fast as the pre-batch serial loop),
-    ``use_cache`` overrides the ``REPRO_CACHE`` environment gate, and
-    ``cache_dir`` relocates the run-cache store.  ``stats_out`` receives
-    the batch's aggregated run-cache hit/miss/store counters (the CLI
-    summary line prints them).
+    sets the worker-process count (default 1 — in-process).
     """
     from repro.batch.pool import map_calls
 
@@ -243,8 +235,5 @@ def run_selfcheck(
         _run_one_check,
         figures,
         max_workers=jobs if jobs is not None else 1,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        stats_out=stats_out,
     )
     return results

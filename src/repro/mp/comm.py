@@ -41,7 +41,6 @@ from repro.mp.mailbox import (
     Mailbox,
     Message,
     Status,
-    _msg_ids,
     validate_tag,
 )
 from repro.mp.serialize import (
@@ -175,6 +174,7 @@ class Comm:
         gid = self._ranks[local_rank]
         self._my_clock = world.clocks[gid]
         self._my_mailbox = world.mailboxes[gid]
+        self._msg_ids = world.msg_ids
         # LogP constants are frozen for the world's lifetime; fold the
         # per-message arithmetic down to one add when bandwidth is off.
         costs = world.costs
@@ -351,7 +351,7 @@ class Comm:
         msg.arrival = arrival
         msg.sync = False
         msg.consumed = False
-        msg.uid = next(_msg_ids)
+        msg.uid = next(self._msg_ids)
         rec = _trace_events._top
         if rec is not None and rec.recording:
             rec.emit(
@@ -434,6 +434,7 @@ class Comm:
             pb = self._pbs[dest]
             arrival = depart + hops[dest] + (packet.size * pb if pb else 0.0)
         msg = Message(self._ctx, self._rank, tag, packet, arrival, sync)
+        msg.uid = next(self._msg_ids)
         # Emit before depositing: the receiver's ``msg.recv`` must follow
         # this event in stream order for the HB edge to point forward.
         if _trace_active():

@@ -20,13 +20,12 @@ overwhelmingly common exact receive touches one deque — O(1) at any
 in-flight message count, where the old flat list scanned every queued
 message per match (O(messages), quadratic across a busy run at np=256).
 Wildcard receives pick the lowest-``uid`` candidate across matching
-buckets; ``uid`` is a global arrival counter, so this is exactly the
+buckets; ``uid`` is the world's arrival counter, so this is exactly the
 arrival order the flat scan honoured and non-overtaking is preserved.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -41,8 +40,6 @@ __all__ = ["ANY_SOURCE", "ANY_TAG", "Message", "Mailbox", "Status"]
 ANY_SOURCE = -2
 #: Wildcard tag for receives (MPI_ANY_TAG).
 ANY_TAG = -1
-
-_msg_ids = itertools.count()
 
 
 class Message:
@@ -75,7 +72,7 @@ class Message:
         self.arrival = arrival
         self.sync = sync
         self.consumed = False  # set when matched (releases a waiting ssend)
-        self.uid = next(_msg_ids)
+        self.uid = 0  # the sender numbers it from World.msg_ids
 
     @property
     def data(self) -> bytes | None:
@@ -122,7 +119,7 @@ class Mailbox:
     ``dict`` of deques; each bucket is FIFO, so per-pair non-overtaking
     is structural and an exact-key receive is a dict probe plus a
     ``popleft``.  Wildcard receives scan the (few) live buckets and pick
-    the lowest ``uid`` — global arrival order — among bucket heads.
+    the lowest ``uid`` — the world's arrival order — among bucket heads.
 
     ``locked=False`` drops the internal lock entirely: lockstep worlds
     run exactly one task at a time, so their mailboxes can never be

@@ -27,6 +27,7 @@ under the lockstep executor, via watchdog under real threads.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Any, Callable
@@ -56,6 +57,10 @@ class World:
         # never see concurrent access, so they drop the per-op lock.
         locked = runtime.executor.mode != "lockstep"
         self.mailboxes = [Mailbox(r, locked=locked) for r in range(size)]
+        #: Message uids: the world's arrival order, which wildcard
+        #: receives follow, numbered per world so a run's trace does not
+        #: depend on the runs before it.
+        self.msg_ids = itertools.count()
         self.clocks = [RankClock() for _ in range(size)]
         self.costs = runtime.costs
         self.cluster = runtime.cluster
@@ -191,8 +196,6 @@ class MpRuntime:
             wid = self._world_counter
         world_label = label or f"world{wid}"
         world = World(self, size, world_label)
-        scope = f"{world_label}#{wid}"
-        world.scope = scope
         parent = current_task_label()
         prefix = f"{parent}/" if parent else ""
 
@@ -219,6 +222,8 @@ class MpRuntime:
 
         # Emission goes to the ambient recorder; install this runtime's
         # own spine only when no harness (capture_run, ...) put one up.
+        # The recorder numbers the world's scope, so two worlds of one
+        # run never share a scope (their message uids both start at 0).
         recorder = _trace.current_recorder()
         pushed = recorder is None
         if pushed:
@@ -226,6 +231,7 @@ class MpRuntime:
             _trace.push_recorder(recorder)
         self.trace = recorder
         try:
+            scope = world.scope = f"{world_label}#{_trace.next_id('scope')}"
             _trace.emit(
                 "world.fork",
                 scope=scope,

@@ -3,7 +3,8 @@
 Every counter is read from one record of a run, its event trace:
 
 - :mod:`repro.obs.derive` — a pure post-hoc pass over any trace, so
-  live, pooled and cache-served runs yield byte-identical metrics;
+  live and pooled runs yield byte-identical metrics, and a cache-served
+  outcome reports the summary its record stored from the live run;
 - :mod:`repro.obs.registry` — the counter/gauge/histogram families and
   their OpenMetrics text form;
 - :mod:`repro.obs.report` — the self-contained HTML run report.

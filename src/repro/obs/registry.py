@@ -20,9 +20,9 @@ Two deterministic serialisations:
   is fully ordered: families, samples, and labels are all sorted).
 
 Determinism is a load-bearing property here, not a nicety: the batch
-layer's guarantee is that a cache-served run is indistinguishable from a
-live one, and that extends to metrics — so every export sorts every
-level and no export embeds a timestamp or an unordered id.
+layer's guarantee is that a cache-served outcome is indistinguishable
+from a live one, and that extends to metrics — so every export sorts
+every level and no export embeds a timestamp or an unordered id.
 """
 
 from __future__ import annotations

@@ -49,11 +49,10 @@ workload isolates (the serve and batch paths are timed end to end by
     ``bench --topology``), so the metric tracks the engine's best
     collective path as topologies evolve.  Gated (see below).
 
-``figure_suite_np64_wall_s`` / ``selfcheck_cold_wall_s`` / ``selfcheck_warm_wall_s``
+``figure_suite_np64_wall_s`` / ``selfcheck_cold_wall_s``
     Wall seconds for the scaling demo (spmd, broadcast and reduction
-    once each at np=64), and for one figure self-check pass with the
-    cache off (the compute cost a classroom feels on a first run) and
-    served from a primed private cache.  Reported, not gated.
+    once each at np=64), and for one figure self-check pass (every check
+    runs live).  Reported, not gated.
 
 All engine benchmarks run under ``muted()`` so they measure the engine,
 not the trace recorder; the trace fast path is itself covered because
@@ -303,37 +302,22 @@ def bench_allreduce_latency(
 
 
 def bench_selfcheck(*, rounds: int = 3) -> dict[str, float]:
-    """Cold and warm wall seconds of the full figure self-check.
+    """Wall seconds of the full figure self-check (best of ``rounds``).
 
-    The cold pass runs with the cache disabled — the compute cost of the
-    suite, the number a classroom feels on a first run; the warm pass is
-    served from a private cache primed first.  The arms alternate for
-    ``rounds`` rounds and each reports its best, so both sample the same
-    machine state.
+    Every check runs live, so this is the compute cost of the suite —
+    the number a classroom feels on every run.  One untimed pass first
+    takes the process's one-time costs (patternlet imports, the rank
+    pool's first threads) out of the sample.
     """
-    import shutil
-    import tempfile
-
     from repro.core.selfcheck import run_selfcheck
 
-    tmp = tempfile.mkdtemp(prefix="repro-bench-selfcheck-")
-    cold: list[float] = []
-    warm: list[float] = []
-    try:
-        run_selfcheck(use_cache=True, cache_dir=tmp)  # prime
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            run_selfcheck(use_cache=False)
-            cold.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            run_selfcheck(use_cache=True, cache_dir=tmp)
-            warm.append(time.perf_counter() - t0)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return {
-        "selfcheck_cold_wall_s": round(min(cold), 3),
-        "selfcheck_warm_wall_s": round(min(warm), 3),
-    }
+    run_selfcheck()
+    walls: list[float] = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        run_selfcheck()
+        walls.append(time.perf_counter() - t0)
+    return {"selfcheck_cold_wall_s": round(min(walls), 3)}
 
 
 def run_benchmarks(
@@ -344,8 +328,9 @@ def run_benchmarks(
 ) -> dict[str, float]:
     """Run the full metric set; returns ``{metric: value}``.
 
-    ``quick`` shrinks iteration counts ~5× for CI smoke runs — noisier,
-    but each metric stays well above timer resolution.
+    ``quick`` shrinks iteration counts ~5× (``switch_rate_np64`` 50×)
+    for CI smoke runs — noisier, but each metric stays well above timer
+    resolution.
 
     ``topology`` pins the collective-latency benches to one communicator
     topology; by default each reports the fastest registered topology at
@@ -383,8 +368,11 @@ def run_benchmarks(
     out["switch_rate"] = best_of_3(
         lambda: bench_switch_rate(k=20000 // scale, batch=32))
     note("lockstep switch rate at np=64 (batch=1 default path)")
+    # Every switch here is an OS thread handoff, so the quick run cuts
+    # the count 50x, not 5x: 64 x 400 switches read the same rate as
+    # 64 x 4,000 and take a second instead of ten.
     out["switch_rate_np64"] = best_of_3(
-        lambda: bench_switch_rate(tasks=64, k=20000 // scale))
+        lambda: bench_switch_rate(tasks=64, k=400 if quick else 20000))
     note("np=1024 spmd world wall clock")
     out["np1024_spmd_wall_s"] = round(
         bench_np1024_spmd(repeats=1 if quick else 3), 4
@@ -403,7 +391,7 @@ def run_benchmarks(
             for t in topos), 3)
     note("large-np patternlet suite at 64 tasks")
     out["figure_suite_np64_wall_s"] = round(bench_large_np_suite(), 3)
-    note("figure self-check, cold and warm")
+    note("figure self-check")
     out.update(bench_selfcheck(rounds=1 if quick else 3))
     return out
 

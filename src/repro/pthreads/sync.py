@@ -10,18 +10,14 @@ diagnostics.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import TYPE_CHECKING
 
 from repro.errors import SmpError
 from repro.sched import Executor
-from repro.trace.events import emit as _trace_emit
+from repro.trace.events import emit as _trace_emit, next_id
 
 __all__ = ["Mutex", "CondVar", "Semaphore", "PthreadBarrier", "RWLock"]
-
-# Distinguishes same-named objects in trace happens-before keys.
-_uids = itertools.count()
 
 
 class Mutex:
@@ -30,7 +26,9 @@ class Mutex:
     def __init__(self, executor: Executor, name: str = "mutex"):
         self._executor = executor
         self.name = name
-        self._uid = next(_uids)
+        # Tells same-named objects apart in happens-before keys; numbered
+        # per run, like every id that lands in a trace.
+        self._uid = next_id("pthreads")
         self._lock = threading.Lock()
         self._next_ticket = 0
         self._now_serving = 0
@@ -88,7 +86,7 @@ class CondVar:
         self._executor = executor
         self._mutex = mutex
         self.name = name
-        self._uid = next(_uids)
+        self._uid = next_id("pthreads")
         self._lock = threading.Lock()
         self._arrivals = 0
         self._releases = 0
@@ -143,7 +141,7 @@ class Semaphore:
             raise ValueError("semaphore value must be non-negative")
         self._executor = executor
         self.name = name
-        self._uid = next(_uids)
+        self._uid = next_id("pthreads")
         self._lock = threading.Lock()
         self._value = value
 
@@ -201,7 +199,7 @@ class PthreadBarrier:
         self._executor = executor
         self.parties = parties
         self.name = name
-        self._uid = next(_uids)
+        self._uid = next_id("pthreads")
         self._lock = threading.Lock()
         self._count = 0
         self._generation = 0
@@ -250,7 +248,7 @@ class RWLock:
     def __init__(self, executor: Executor, name: str = "rwlock"):
         self._executor = executor
         self.name = name
-        self._uid = next(_uids)
+        self._uid = next_id("pthreads")
         self._lock = threading.Lock()
         self._readers = 0
         self._writer = False

@@ -25,19 +25,16 @@ the team's :class:`~repro.smp.sync.AtomicGuard` / named
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from typing import TYPE_CHECKING, Any
 
-from repro.trace.events import active as _trace_active, emit as _trace_emit
+from repro.trace.events import active as _trace_active, emit as _trace_emit, next_id
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smp.runtime import ExecutionContext
 
 __all__ = ["SharedCell"]
-
-_cell_ids = itertools.count()
 
 
 class SharedCell:
@@ -50,7 +47,7 @@ class SharedCell:
 
     def __init__(self, value: Any = 0, *, name: str | None = None):
         self.value = value
-        self.name = name if name is not None else f"cell{next(_cell_ids)}"
+        self.name = name if name is not None else f"cell{next_id('cell')}"
         self._fallback_lock = threading.Lock()
         #: How many times a race window was actually crossed by another
         #: writer (detected post hoc: the value moved while we held tmp).

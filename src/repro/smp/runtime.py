@@ -40,7 +40,6 @@ thread creation per fork-join.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 import time
@@ -67,10 +66,6 @@ __all__ = [
 ]
 
 _NO_VALUE = object()
-
-#: Globally unique fork-join scope ids; see repro.trace.span.
-_scope_ids = itertools.count()
-
 
 def get_wtime() -> float:
     """Wall-clock seconds (the ``omp_get_wtime()`` analogue)."""
@@ -132,8 +127,9 @@ class Team:
         self.runtime = runtime
         self.size = size
         self.label = label
-        #: Trace scope id for this region's events (unique per region).
-        self.scope = f"{label}#{next(_scope_ids)}"
+        #: Trace scope id for this region's events (unique within the
+        #: run: numbered by its recorder; see repro.trace.span).
+        self.scope = f"{label}#{_trace.next_id('scope')}"
         self.barrier = TeamBarrier(self)
         self.atomic_guard = AtomicGuard(self)
         self.group: TaskGroup | None = None  # set once tasks launch
@@ -529,8 +525,6 @@ class SmpRuntime:
             self._region_counter += 1
             region_id = self._region_counter
         team_label = label or f"region{region_id}"
-        team = Team(self, size, team_label)
-        scope = team.scope
         parent = current_task_label()
         prefix = f"{parent}/" if parent else ""
 
@@ -557,7 +551,8 @@ class SmpRuntime:
 
         # Emission goes to the ambient recorder; install this runtime's
         # private one only when no harness (capture_run, an enclosing MP
-        # world, ...) has already installed a spine for this run.
+        # world, ...) has already installed a spine for this run.  The
+        # recorder numbers the team's scope, so it goes up first.
         recorder = _trace.current_recorder()
         pushed = recorder is None
         if pushed:
@@ -565,6 +560,8 @@ class SmpRuntime:
             _trace.push_recorder(recorder)
         self.trace = recorder
         try:
+            team = Team(self, size, team_label)
+            scope = team.scope
             _trace.emit(
                 "region.fork",
                 scope=scope,

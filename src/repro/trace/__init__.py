@@ -52,6 +52,7 @@ from repro.trace.events import (
     current_recorder,
     emit,
     muted,
+    next_id,
     pop_recorder,
     push_recorder,
     reset_ambient,
@@ -81,6 +82,7 @@ __all__ = [
     "muted",
     "active",
     "emit",
+    "next_id",
     "final_vtimes",
     "span_of",
     "critical_task",

@@ -54,6 +54,7 @@ __all__ = [
     "muted",
     "active",
     "emit",
+    "next_id",
 ]
 
 
@@ -124,6 +125,14 @@ class TraceRecorder:
         self._lock = threading.Lock()
         self._events: list[Event] = []
         self._n = 0  # total events ever emitted (stream position / seq)
+        self._ids: dict[str, int] = {}  # next id per namespace (next_id)
+
+    def next_id(self, space: str) -> int:
+        """The next id in namespace ``space`` for this run: 0, 1, 2, ..."""
+        with self._lock:
+            n = self._ids.get(space, 0)
+            self._ids[space] = n + 1
+        return n
 
     def emit(
         self,
@@ -363,6 +372,23 @@ def active() -> bool:
     """
     rec = _top
     return rec is not None and rec.recording
+
+
+#: Numbers ids made while no recorder is installed (bare API use).
+_UNRECORDED = TraceRecorder()
+
+
+def next_id(space: str) -> int:
+    """The next id in namespace ``space`` for the run being recorded.
+
+    Ids that land in events (region scopes, shared-cell names, pthreads
+    sync-object keys) count per recorder, so a run's event stream does
+    not depend on how many runs its process did before.  With no
+    recorder installed they count process-wide: still unique, not
+    per run.
+    """
+    rec = _top
+    return (rec if rec is not None else _UNRECORDED).next_id(space)
 
 
 def emit(

@@ -1,69 +1,73 @@
-"""The run cache: hit semantics, escape hatches, LRU bounds, degradation."""
+"""The run cache: hit semantics, escape hatches, key form, LRU bounds, degradation."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-import pytest
-
 import repro.core.registry as registry
-from repro.batch.cache import RunCache, cache_enabled, caching_runs, default_cache_dir
+from repro.batch.cache import RunCache, cache_enabled, default_cache_dir
 from repro.batch.pool import run_specs
-from repro.batch.results import RECORD_SCHEMA, _memo_clear, run_to_record
+from repro.batch.results import RECORD_SCHEMA, run_from_record, run_to_record
 from repro.batch.specs import RunSpec, figure_suite_specs, spec_key
 from repro.core.registry import run_patternlet
 
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    """Isolate each test from the process-wide decoded-record memo."""
-    _memo_clear()
-    yield
-    _memo_clear()
+SPMD = RunSpec.make("openmp.spmd", tasks=2, seed=0)
 
 
 def _cache(tmp_path, **kw):
     return RunCache(tmp_path / "runs", **kw)
 
 
+def _sweep(root, specs):
+    return run_specs(specs, max_workers=1, use_cache=True, cache_dir=str(root))
+
+
+def _never_execute(monkeypatch):
+    def sentinel(*a, **k):
+        raise AssertionError("cache hit executed the patternlet")
+
+    monkeypatch.setattr(registry, "capture_run", sentinel)
+
+
 class TestHitNeverExecutes:
     def test_hit_is_served_without_running_the_patternlet(self, tmp_path, monkeypatch):
-        cache = _cache(tmp_path)
-        with caching_runs(cache, enabled=True):
-            first = run_patternlet("openmp.spmd", tasks=3, seed=2)
-        assert cache.stores == 1 and not first.meta.get("cached")
+        spec = RunSpec.make("openmp.spmd", tasks=3, seed=2)
+        first = _sweep(tmp_path, [spec])
+        assert first.cache_stats["stores"] == 1 and first.hits == 0
+        _never_execute(monkeypatch)
+        served = _sweep(tmp_path, [spec])
+        assert served.hits == 1 and not served.errors
+        assert served.outcomes[0].text == first.outcomes[0].text
 
-        def sentinel(*a, **k):
-            raise AssertionError("cache hit executed the patternlet")
+    def test_repeat_sweep_in_one_process_reads_each_record_once(
+        self, tmp_path, monkeypatch
+    ):
+        # One front-end, no in-process memo: a second sweep of the same
+        # cells in this process looks each one up on disk, once, and
+        # executes nothing.
+        specs = [SPMD, RunSpec.make("mpi.reduction", tasks=4, seed=1)]
+        cold = _sweep(tmp_path, specs)
+        gets = []
+        real_get = RunCache.get
 
-        monkeypatch.setattr(registry, "capture_run", sentinel)
-        _memo_clear()  # force the disk tier, not just the memo
-        with caching_runs(cache, enabled=True):
-            served = run_patternlet("openmp.spmd", tasks=3, seed=2)
-        assert served.meta["cached"] is True
-        assert served.text == first.text
+        def counting_get(cache, key):
+            gets.append(key)
+            return real_get(cache, key)
 
-    def test_memory_tier_also_never_executes(self, tmp_path, monkeypatch):
-        cache = _cache(tmp_path)
-        with caching_runs(cache, enabled=True):
-            run_patternlet("openmp.spmd", tasks=3, seed=2)
-
-        def sentinel(*a, **k):
-            raise AssertionError("memo hit executed the patternlet")
-
-        monkeypatch.setattr(registry, "capture_run", sentinel)
-        with caching_runs(cache, enabled=True):  # memo still primed
-            served = run_patternlet("openmp.spmd", tasks=3, seed=2)
-        assert served.meta["cached"] is True
+        monkeypatch.setattr(RunCache, "get", counting_get)
+        _never_execute(monkeypatch)
+        warm = _sweep(tmp_path, specs)
+        assert gets == [o.key for o in cold.outcomes]
+        assert warm.hit_rate == 1.0 and warm.cache_stats["hits"] == len(specs)
 
     def test_thread_mode_always_executes(self, tmp_path):
-        cache = _cache(tmp_path)
-        with caching_runs(cache, enabled=True):
-            a = run_patternlet("openmp.critical2", mode="thread", tasks=2, reps=50)
-            b = run_patternlet("openmp.critical2", mode="thread", tasks=2, reps=50)
-        assert cache.stores == 0
-        assert not a.meta.get("cached") and not b.meta.get("cached")
+        spec = RunSpec.make("openmp.critical2", mode="thread", tasks=2, reps=50)
+        for _ in range(2):
+            report = _sweep(tmp_path, [spec])
+            assert not report.errors and report.hits == 0
+            assert report.cache_stats["stores"] == 0
+        assert len(RunCache(tmp_path)) == 0
 
 
 class TestStoredVerdicts:
@@ -72,8 +76,7 @@ class TestStoredVerdicts:
     _SPEC = RunSpec.make("openmp.reduction", toggles={"parallel_for": True}, seed=1)
 
     def _sweep(self, cache_dir, specs=None):
-        return run_specs(specs or [self._SPEC], max_workers=1, use_cache=True,
-                         cache_dir=str(cache_dir))
+        return _sweep(cache_dir, specs or [self._SPEC])
 
     def test_record_stores_text_summary_and_races(self, tmp_path):
         cold = self._sweep(tmp_path)
@@ -92,7 +95,6 @@ class TestStoredVerdicts:
         old = {k: v for k, v in old.items() if k not in ("text", "summary")}
         old["schema"] = 1
         path.write_text(json.dumps(old))
-        _memo_clear()
         again = self._sweep(tmp_path)
         assert again.executed == 1 and again.cache_stats["misses"] == 1
         assert again.outcomes[0].metrics == cold.outcomes[0].metrics
@@ -106,14 +108,12 @@ class TestStoredVerdicts:
         broken = json.loads(path.read_text())
         del broken["summary"]
         path.write_text(json.dumps(broken))
-        _memo_clear()
         again = self._sweep(tmp_path)
         assert again.executed == 1 and not again.errors
         assert again.outcomes[0].metrics == cold.outcomes[0].metrics
         assert "summary" in json.loads(path.read_text())
 
     def test_warm_hit_neither_decodes_nor_derives(self, tmp_path, monkeypatch):
-        import repro.batch.cache as cache_mod
         import repro.batch.results as results_mod
         import repro.obs.derive as derive_mod
         import repro.trace as trace_mod
@@ -121,13 +121,11 @@ class TestStoredVerdicts:
 
         specs = [self._SPEC, RunSpec.make("mpi.reduction", tasks=4, seed=0)]
         cold = self._sweep(tmp_path, specs)
-        _memo_clear()  # the disk tier, not just the memo
 
         def sentinel(*a, **k):
             raise AssertionError("a warm hit rebuilt or re-derived its run")
 
         for module, name in (
-            (cache_mod, "run_from_record"),
             (results_mod, "run_from_record"),
             (results_mod, "run_summary"),
             (derive_mod, "run_summary"),
@@ -136,7 +134,7 @@ class TestStoredVerdicts:
             (registry, "capture_run"),
         ):
             monkeypatch.setattr(module, name, sentinel)
-        for _ in range(2):  # the disk tier, then the memo tier
+        for _ in range(2):  # a repeat warm sweep reads the disk again
             warm = self._sweep(tmp_path, specs)
             assert not warm.errors and warm.hit_rate == 1.0
             assert [(o.text, o.span, o.races, o.metrics) for o in warm.outcomes] == [
@@ -145,40 +143,34 @@ class TestStoredVerdicts:
 
     def test_served_outcomes_do_not_share_summaries(self, tmp_path):
         self._sweep(tmp_path)
-        first = self._sweep(tmp_path).outcomes[0]  # memo tier
+        first = self._sweep(tmp_path).outcomes[0]
         first.metrics["races"] = -1
         assert self._sweep(tmp_path).outcomes[0].metrics["races"] > 0
 
 
-class TestServedRunsAreWhole:
-    def test_served_run_preserves_trace_and_race_verdict(self, tmp_path):
+class TestRecordRoundTrip:
+    def test_record_round_trip_preserves_trace_and_race_verdict(self):
+        # The record keeps the full event stream; its decoder rebuilds a
+        # run whose trace proves the same race as the live one.
         from repro.trace import detect_races
 
-        cache = _cache(tmp_path)
-        with caching_runs(cache, enabled=True):
-            live = run_patternlet(
-                "openmp.reduction", toggles={"parallel_for": True}, seed=1
-            )
-        _memo_clear()
-        with caching_runs(cache, enabled=True):
-            served = run_patternlet(
-                "openmp.reduction", toggles={"parallel_for": True}, seed=1
-            )
+        live = run_patternlet("openmp.reduction", toggles={"parallel_for": True}, seed=1)
+        record = json.loads(json.dumps(run_to_record(live, key="k")))
+        served = run_from_record(record)
+        assert served.meta["cached"] is True
         assert served.text == live.text
         assert served.span == live.span
-        assert len(detect_races(served.trace)) == len(detect_races(live.trace))
-        assert [e.seq for e in served.trace.events()] == [
-            e.seq for e in live.trace.events()
-        ]
+        assert len(detect_races(served.trace)) == len(detect_races(live.trace)) > 0
+        assert served.trace.events() == live.trace.events()
 
 
 class TestEscapeHatches:
     def test_repro_cache_0_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert not cache_enabled()
-        with caching_runs(None):  # enabled=None defers to the env gate
-            run = run_patternlet("openmp.spmd", seed=0)
-        assert not run.meta.get("cached")
+        for _ in range(2):  # use_cache=None defers to the env gate
+            report = run_specs([SPMD], max_workers=1)
+            assert report.hits == 0 and report.cache_stats == {}
 
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "relocated"))
@@ -190,33 +182,47 @@ class TestEscapeHatches:
         assert root != Path.home() / ".cache" / "repro-runs"
         assert root.is_relative_to(tmp_path_factory.getbasetemp())
 
-    def test_disabled_context_is_a_noop(self, tmp_path):
-        cache = _cache(tmp_path)
-        with caching_runs(cache, enabled=False):
-            run_patternlet("openmp.spmd", seed=0)
-        assert cache.stores == 0 and len(cache) == 0
+    def test_use_cache_false_stores_nothing(self, tmp_path):
+        report = run_specs([SPMD], max_workers=1, use_cache=False,
+                           cache_dir=str(tmp_path))
+        assert report.outcomes[0].text and report.cache_stats == {}
+        assert len(RunCache(tmp_path)) == 0
+
+
+class TestKeyForm:
+    """Only a content address names a record; no other key touches a file."""
+
+    def test_get_of_a_hostile_key_is_a_miss(self, key_trap):
+        cache = RunCache(key_trap.root)
+        assert cache.get(key_trap.key) is None
+        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 0, "evictions": 0}
+        assert key_trap.sentinel.read_text() == key_trap.text
+
+    def test_put_of_a_hostile_key_stores_nothing(self, key_trap):
+        beside = sorted(key_trap.sentinel.parent.iterdir())
+        cache = RunCache(key_trap.root)
+        assert cache.put(key_trap.key, {"schema": RECORD_SCHEMA, "key": "x"}) is False
+        assert cache.stores == 0
+        assert key_trap.sentinel.read_text() == key_trap.text
+        assert sorted(key_trap.sentinel.parent.iterdir()) == beside
 
 
 class TestStore:
     def test_corrupt_record_is_a_miss_and_removed(self, tmp_path):
-        cache = _cache(tmp_path)
-        with caching_runs(cache, enabled=True):
-            run_patternlet("openmp.spmd", tasks=2, seed=0)
-        key = spec_key(RunSpec.make("openmp.spmd", tasks=2, seed=0))
+        _sweep(tmp_path, [SPMD])
+        cache = RunCache(tmp_path)
+        key = spec_key(SPMD)
         path = cache._path(key)
         path.write_text("{ not json")
-        _memo_clear()
         assert cache.get(key) is None
         assert not path.exists()
-        with caching_runs(cache, enabled=True):  # recomputes and re-stores
-            run = run_patternlet("openmp.spmd", tasks=2, seed=0)
-        assert not run.meta.get("cached") and path.exists()
+        again = _sweep(tmp_path, [SPMD])  # recomputes and re-stores
+        assert again.executed == 1 and path.exists()
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
-        cache = _cache(tmp_path)
-        with caching_runs(cache, enabled=True):
-            run_patternlet("openmp.spmd", tasks=2, seed=0)
-        key = spec_key(RunSpec.make("openmp.spmd", tasks=2, seed=0))
+        _sweep(tmp_path, [SPMD])
+        cache = RunCache(tmp_path)
+        key = spec_key(SPMD)
         record = json.loads(cache._path(key).read_text())
         record["schema"] = 999
         cache._path(key).write_text(json.dumps(record))
@@ -224,21 +230,17 @@ class TestStore:
 
     def test_lru_prune_keeps_most_recent(self, tmp_path):
         cache = _cache(tmp_path, max_bytes=1)  # everything is over the cap
-        with caching_runs(cache, enabled=True):
-            run = run_patternlet("openmp.spmd", tasks=2, seed=0)
-        record = run_to_record(run, key="k")
+        record = run_to_record(run_patternlet("openmp.spmd", tasks=2, seed=0), key="k")
         blob_size = len(json.dumps(record, separators=(",", ":")))
         cache.max_bytes = int(blob_size * 2.5)  # room for two records
         for i in range(4):
-            assert cache.put(f"{i:02d}aaa", record)
+            assert cache.put(f"{i:02d}" + "a" * 62, record)
         assert cache.prune() >= 1
         assert cache.size_bytes() <= cache.max_bytes
 
     def test_clear_removes_everything(self, tmp_path):
-        cache = _cache(tmp_path)
-        with caching_runs(cache, enabled=True):
-            run_patternlet("openmp.spmd", tasks=2, seed=0)
-            run_patternlet("openmp.spmd", tasks=3, seed=0)
+        _sweep(tmp_path, [SPMD, RunSpec.make("openmp.spmd", tasks=3, seed=0)])
+        cache = RunCache(tmp_path)
         assert len(cache) == 2
         assert cache.clear() == 2
         assert len(cache) == 0
@@ -246,22 +248,16 @@ class TestStore:
     def test_unwritable_root_degrades_to_live_runs(self, tmp_path):
         blocked = tmp_path / "blocked"
         blocked.write_text("a file where the cache dir should be")
-        cache = RunCache(blocked / "nested")
-        with caching_runs(cache, enabled=True):
-            run = run_patternlet("openmp.spmd", seed=0)
-        assert run.text  # ran fine; nothing persisted
-        assert len(cache) == 0
+        report = _sweep(blocked / "nested", [SPMD])
+        assert not report.errors and report.outcomes[0].text  # ran fine
+        assert report.cache_stats["stores"] == 0
+        assert len(RunCache(blocked / "nested")) == 0
 
     def test_counters(self, tmp_path):
-        cache = _cache(tmp_path)
-        with caching_runs(cache, enabled=True):
-            run_patternlet("openmp.spmd", tasks=2, seed=0)
-        _memo_clear()
-        with caching_runs(cache, enabled=True):
-            run_patternlet("openmp.spmd", tasks=2, seed=0)
-        stats = cache.stats()
-        assert stats["stores"] == 1 and stats["hits"] == 1
-        assert stats["evictions"] == 0
+        cold = _sweep(tmp_path, [SPMD])
+        warm = _sweep(tmp_path, [SPMD])
+        assert cold.cache_stats == {"hits": 0, "misses": 1, "stores": 1, "evictions": 0}
+        assert warm.cache_stats == {"hits": 1, "misses": 0, "stores": 0, "evictions": 0}
 
     def test_unserialisable_record_touches_nothing(self, tmp_path):
         cache = _cache(tmp_path)
@@ -321,7 +317,7 @@ class TestStore:
         cache = _cache(tmp_path, max_bytes=1)
         record = {"schema": 1, "pad": "x" * 256}
         for i in range(3):
-            cache.put(f"{i:02d}abc", record)
+            cache.put(f"{i:02d}" + "c" * 62, record)
         removed = cache.prune()
         assert removed >= 1
         assert cache.stats()["evictions"] == cache.evictions >= removed
@@ -429,89 +425,3 @@ class TestMultiWriter:
         ):
             assert cache.prune() == 0  # under cap; walk survives the race
         assert len(cache) == 1
-
-
-class TestSingleFlight:
-    """Thread-level coalescing: one compute per key even under a stampede."""
-
-    def _swarm(self, tmp_path, monkeypatch, *, leader_fails=False,
-               n_followers=5):
-        import threading
-        import time
-
-        cache = _cache(tmp_path)
-        real = registry.capture_run
-        executions = []
-        results = []
-        errors = []
-
-        def slow_capture(*args, **kwargs):
-            executions.append(threading.get_ident())
-            time.sleep(0.25)  # hold the flight open while followers pile in
-            if leader_fails and len(executions) == 1:
-                raise RuntimeError("leader died mid-flight")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(registry, "capture_run", slow_capture)
-
-        def worker():
-            try:
-                results.append(run_patternlet("openmp.spmd", tasks=3, seed=5))
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        # One shared context for every thread: the interceptor slot is
-        # process-global, so concurrent enter/exit from worker threads
-        # would race its save/restore.  Entering once on the main thread
-        # is the supported embedding shape — the flight table underneath
-        # is what coalesces the stampede.
-        with caching_runs(cache, enabled=True):
-            leader = threading.Thread(target=worker)
-            leader.start()
-            while not executions:  # the flight is provably open past here
-                time.sleep(0.005)
-            followers = [threading.Thread(target=worker)
-                         for _ in range(n_followers)]
-            for t in followers:
-                t.start()
-            leader.join()
-            for t in followers:
-                t.join()
-        return executions, results, errors
-
-    def test_stampede_on_one_key_computes_once(self, tmp_path, monkeypatch):
-        executions, results, errors = self._swarm(tmp_path, monkeypatch)
-        assert len(executions) == 1  # five followers attached, none ran
-        assert not errors
-        assert len(results) == 6
-        assert len({r.text for r in results}) == 1
-
-    def test_failed_leader_releases_its_follower_to_run_live(
-        self, tmp_path, monkeypatch
-    ):
-        # A leader that dies must not strand a follower: _end_flight
-        # runs on the failure path, the woken follower re-reads the
-        # tiers, misses, and computes for itself.  (One follower only:
-        # coalescing callers, not this layer, guarantee one live run
-        # per process — the trace recorder stack is process-ambient.)
-        executions, results, errors = self._swarm(
-            tmp_path, monkeypatch, leader_fails=True, n_followers=1)
-        assert len(errors) == 1  # only the leader saw the crash
-        assert len(results) == 1
-        assert "Hello" in results[0].text  # a whole, live-computed run
-        assert len(executions) == 2  # the follower recomputed after the wake
-
-    def test_flights_are_scoped_per_key(self, tmp_path):
-        from repro.batch.cache import _begin_flight, _end_flight
-
-        scope = str(tmp_path)
-        assert _begin_flight(scope, "k1") is None  # first caller leads
-        assert _begin_flight(scope, "k2") is None  # other keys unaffected
-        follow = _begin_flight(scope, "k1")
-        assert follow is not None and not follow.is_set()
-        _end_flight(scope, "k1")
-        assert follow.is_set()  # followers released
-        assert _begin_flight(scope, "k1") is None  # table entry retired
-        _end_flight(scope, "k1")
-        _end_flight(scope, "k2")
-        _end_flight(scope, "nope")  # closing a non-flight is a no-op

@@ -13,7 +13,6 @@ from repro.batch.specs import (
     RunSpec,
     engine_fingerprint,
     figure_suite_specs,
-    key_for_config,
     patternlet_source,
     spec_key,
 )
@@ -163,24 +162,6 @@ class TestCacheability:
     def test_unserializable_extra_is_never_keyed(self):
         spec = RunSpec.make("openmp.spmd", knob=object())
         assert spec_key(spec) is None
-
-    def test_key_for_config_matches_spec_key(self):
-        # The interceptor (RunConfig path) and the sweep planner (RunSpec
-        # path) must address the same records.
-        from repro.core.registry import get_patternlet
-        from repro.core.registry import RunConfig
-
-        p = get_patternlet("openmp.barrier")
-        cfg = RunConfig(
-            tasks=p.default_tasks,
-            toggles=p.toggle_set({"barrier": True}),
-            mode="lockstep",
-            seed=5,
-            policy="random",
-            extra={},
-        )
-        spec = RunSpec.make("openmp.barrier", toggles={"barrier": True}, seed=5)
-        assert key_for_config(p, cfg) == spec_key(spec)
 
 
 class TestEngineFingerprint:

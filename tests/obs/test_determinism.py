@@ -2,7 +2,7 @@
 
 Canonical metrics are a pure function of the trace plus identity meta,
 so (a) reruns of the same spec agree exactly and (b) serial, pooled, and
-cache-served executions agree byte-for-byte.
+cache-served summaries agree byte-for-byte.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ import json
 
 import pytest
 
-from repro.batch.cache import RunCache, caching_runs
+from repro.batch.cache import RunCache
 from repro.batch.pool import run_specs, shutdown_pool
-from repro.batch.results import _memo_clear
 from repro.batch.specs import RunSpec
 from repro.core.registry import run_patternlet
 from repro.obs import metrics_dict
@@ -25,9 +24,7 @@ def _canon(run) -> str:
 
 @pytest.fixture(autouse=True)
 def clean_slate():
-    _memo_clear()
     yield
-    _memo_clear()
     shutdown_pool()
 
 
@@ -53,26 +50,22 @@ class TestRerunIdentity:
 
 
 class TestCacheServedIdentity:
-    def test_cache_served_metrics_are_byte_identical(self, tmp_path):
+    def test_cache_served_summary_is_byte_identical(self, tmp_path):
+        # A served outcome reports the summary its record stored; it must
+        # be the live run's metrics_dict summary, byte for byte.
         live = run_patternlet("openmp.parallelLoopDynamic", tasks=4, seed=1)
-        want = _canon(live)
+        want = json.dumps(metrics_dict(live)["summary"], sort_keys=True)
+        spec = RunSpec.make("openmp.parallelLoopDynamic", tasks=4, seed=1)
         cache_dir = str(tmp_path / "runs")
-        with caching_runs(RunCache(cache_dir), enabled=True):
-            cold = run_patternlet(
-                "openmp.parallelLoopDynamic", tasks=4, seed=1
-            )
-        assert _canon(cold) == want
-        _memo_clear()  # force the disk tier, not the in-process memo
-        served_cache = RunCache(cache_dir)
-        with caching_runs(served_cache, enabled=True):
-            served = run_patternlet(
-                "openmp.parallelLoopDynamic", tasks=4, seed=1
-            )
-        assert served.meta.get("cached") is True
-        assert served_cache.stats()["hits"] == 1
-        # A served run is indistinguishable: "cached" never labels metrics.
-        assert _canon(served) == want
-        assert "cached" not in json.dumps(metrics_dict(served))
+        cold = run_specs([spec], max_workers=1, use_cache=True, cache_dir=cache_dir)
+        served = run_specs([spec], max_workers=1, use_cache=True, cache_dir=cache_dir)
+        assert cold.hits == 0 and served.hits == 1
+        assert served.cache_stats["hits"] == 1
+        for report in (cold, served):
+            assert json.dumps(report.outcomes[0].metrics, sort_keys=True) == want
+        # "cached" labels the outcome, never the metrics.
+        record = RunCache(cache_dir).get(served.outcomes[0].key)
+        assert "cached" not in record["summary"]
 
     def test_pooled_summaries_match_serial(self):
         specs = [

@@ -236,6 +236,17 @@ class TestCacheTierOffLoop:
         assert status == 200 and stored == doc
 
 
+class TestReportKeys:
+    def test_a_report_key_cannot_reach_a_file(self, key_trap):
+        # The report route's disk fallback reads the run cache with the
+        # raw path text; a key that is not a content address must be a
+        # plain 404 that leaves every file where it was.
+        with running(cache_dir=str(key_trap.root)) as daemon:
+            status, _, doc = _request(daemon.port, "GET", f"/report/{key_trap.key}")
+        assert status == 404 and "error" in doc
+        assert key_trap.sentinel.read_text() == key_trap.text
+
+
 class TestAdmission:
     def test_high_water_sheds_with_429_and_retry_after(self, tmp_path):
         cfg = ServeConfig(cache_dir=str(tmp_path), workers=1, queue_limit=0)

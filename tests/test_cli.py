@@ -218,11 +218,13 @@ class TestSweepCommand:
             ["sweep", "openmp.zzz", "--cache-dir", str(tmp_path / "runs")]
         ) == 1
 
-    def test_selfcheck_with_jobs_and_cache_flags(self, tmp_path, capsys):
-        assert main(
-            ["selfcheck", "--jobs", "1", "--cache-dir", str(tmp_path / "runs")]
-        ) == 0
-        assert main(["selfcheck", "--no-cache"]) == 0
+    def test_selfcheck_runs_live_without_cache_flags(self, tmp_path, capsys):
+        assert main(["selfcheck", "--jobs", "1"]) == 0
+        for flags in (["--no-cache"], ["--cache-dir", str(tmp_path / "runs")]):
+            with pytest.raises(SystemExit) as exc:
+                main(["selfcheck", *flags])
+            assert exc.value.code == 2
+        assert not (tmp_path / "runs").exists()
 
 
 class TestTopologyFlags:
@@ -385,18 +387,11 @@ class TestReportCommand:
         ) == 1
 
 
-class TestSelfcheckCacheLine:
-    def test_summary_line_reports_cache_traffic(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "runs")
-        assert main(["selfcheck", "--cache-dir", cache_dir]) == 0
-        cold = capsys.readouterr().out
-        assert "cache:" in cold and "stored" in cold
-        assert main(["selfcheck", "--cache-dir", cache_dir]) == 0
-        warm = capsys.readouterr().out
-        import re
-
-        hits = int(re.search(r"(\d+) hits", warm).group(1))
-        assert hits > 0
+class TestSelfcheckSummaryLine:
+    def test_summary_line_counts_passed_checks(self, capsys):
+        assert main(["selfcheck"]) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().splitlines()[-1] == "14/14 figure checks passed"
 
 
 class TestServeCli:
