@@ -21,8 +21,12 @@ The gate fails (exit 1) when a per-side median regresses past its bound
 — the engine gates through :func:`repro.perf.bench.compare` at 30%, the
 perfbench metrics of :data:`PERFBENCH_GATES` at the bound and direction
 ``BENCHMARK.json`` declares — or when any perfbench run is not
-``correct`` or reports a failed operation.  The table of medians and the
-verdict go to standard output, progress to standard error.
+``correct`` or reports a failed operation.  The table of medians, each
+pair's values for every perfbench gate, and the verdict go to standard
+output, progress to standard error.  Every side's raw results, pair by
+pair, are rewritten to :data:`PAIRS_FILE` in the working directory as
+each run finishes, so a failed gate can be traced to the pair that
+moved it even when a later run fails.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ SECONDS = 5
 #: Longest any one benchmark command may take before the gate fails.
 TIMEOUT_S = 900
 WORKLOADS = ("grade-warm", "lab-serve")
+#: Per-pair raw results, written to the working directory.
+PAIRS_FILE = "ab-gate-pairs.json"
 
 #: The perfbench metrics this gate holds, each with the ``patternlet
 #: bench`` gate it replaced (which timed the same path with its own
@@ -153,6 +159,25 @@ def verdict(head: list[dict], base: list[dict],
     return _table(rows), failures
 
 
+def pair_lines(head: list[dict], base: list[dict],
+               bench_doc: dict) -> list[str]:
+    """Each pair's base and head value for every perfbench gate row."""
+    lines = ["per pair, base -> head (head runs first in pairs 1, 3, 5, ...):"]
+    for workload, metric, _, _, _ in perfbench_gates(bench_doc):
+        values = [f"{_fmt(b[workload]['metrics'][metric]['value'])} -> "
+                  f"{_fmt(h[workload]['metrics'][metric]['value'])}"
+                  for h, b in zip(head, base)]
+        lines.append(f"  {workload} {metric}: " + " | ".join(values))
+    return lines
+
+
+def write_pairs(path: Path, head: Path, base: Path, pairs: list[dict]) -> None:
+    """Write every side's raw results so far, pair by pair."""
+    doc = {"head": str(head), "base": str(base), "seconds": SECONDS,
+           "pairs": pairs}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
 def _fmt(value: float | None) -> str:
     if value is None:
         return "-"
@@ -199,21 +224,31 @@ def main(argv: list[str] | None = None) -> int:
     bench_doc = json.loads((HEAD / "BENCHMARK.json").read_text())
 
     runs: dict[str, list[dict]] = {"head": [], "base": []}
+    pairs: list[dict] = []
+    pairs_file = Path(PAIRS_FILE).resolve()
     trees = [("head", HEAD), ("base", base)]
     with tempfile.TemporaryDirectory(prefix="ab-gate-") as scratch:
         for pair in range(PAIRS):
-            for side, tree in trees if pair % 2 == 0 else trees[::-1]:
+            order = trees if pair % 2 == 0 else trees[::-1]
+            record = {"pair": pair + 1, "seed": pair,
+                      "first": order[0][0]}
+            pairs.append(record)
+            for side, tree in order:
                 print(f"pair {pair + 1}/{PAIRS}: {side}", file=sys.stderr)
                 try:
-                    runs[side].append(measure(
-                        tree, pair, Path(scratch) / f"{side}-{pair}.json"))
+                    record[side] = measure(
+                        tree, pair, Path(scratch) / f"{side}-{pair}.json")
                 except GateError as exc:
                     print(f"A/B GATE FAILED: {exc}")
                     return 1
+                runs[side].append(record[side])
+                write_pairs(pairs_file, HEAD, base, pairs)
     lines, failures = verdict(runs["head"], runs["base"], bench_doc)
     print(f"A/B of {HEAD} (head) against {base} (base): median of "
           f"{PAIRS} alternating pairs")
     print("\n".join(lines))
+    print("\n".join(pair_lines(runs["head"], runs["base"], bench_doc)))
+    print(f"raw results per pair: {pairs_file}")
     if failures:
         print("\nA/B GATE FAILED:")
         for failure in failures:

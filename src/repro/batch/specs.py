@@ -8,8 +8,8 @@ to worker processes.
 :func:`spec_key` derives the spec's *content address*: a SHA-256 over
 everything that determines a deterministic run's output —
 
-- the patternlet's **source text** (edit the patternlet, invalidate its
-  cached runs);
+- a SHA-256 of the patternlet's **source text** (edit the patternlet,
+  invalidate its cached runs);
 - the **engine fingerprint**: the package version plus a hash of every
   non-patternlet ``repro`` source file (edit the scheduler or a runtime,
   invalidate everything);
@@ -28,6 +28,7 @@ OS nondeterminism and must never be served from a cache.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import inspect
@@ -137,6 +138,18 @@ def patternlet_source(name: str) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=256)
+def _source_digest(source: str) -> str:
+    """SHA-256 of a patternlet's source text.
+
+    Memoised on the text itself, not on the patternlet's name, so an
+    edited source moves the key.  ``patternlet_source`` hands back the
+    same string object each call, whose hash Python keeps, so a repeat
+    lookup does not rescan the text.
+    """
+    return hashlib.sha256(source.encode()).hexdigest()
+
+
 _ENGINE_FP: str | None = None
 
 
@@ -186,7 +199,7 @@ def _key_digest(
     payload = {
         "engine": engine,
         "patternlet": patternlet,
-        "source": source,
+        "source_sha256": _source_digest(source),
         "tasks": int(tasks),
         "toggles": {str(k): bool(v) for k, v in sorted(toggles.items())},
         "mode": mode,

@@ -29,7 +29,7 @@ them as methods (``bcast``, ``scatter``, ``gather``, ``reduce``, ...).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Hashable, Sequence
 
 from repro.errors import CommError, MpError
 from repro.mp import collectives as _coll

@@ -11,7 +11,6 @@ diagnostics.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING
 
 from repro.errors import SmpError
 from repro.sched import Executor

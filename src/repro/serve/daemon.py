@@ -8,8 +8,11 @@ A deliberately small hand-rolled HTTP/1.1 layer on ``asyncio.start_server``
   or an HTTP/1.0 client without ``keep-alive`` closes; everything else
   persists), every response framed with ``Content-Length``, idle
   connections reaped after ``idle_timeout_s``.
-- **Bounded parsing**: request line + headers are size-capped, bodies
-  past ``max_body_bytes`` are refused with 413 before being read.
+- **Bounded parsing under one deadline**: :func:`read_request` reads a
+  request's line, headers and body under one ``idle_timeout_s`` wait, so
+  a client that stalls anywhere in a request is reaped like an idle
+  one.  Lines and header counts are capped (400), and bodies past
+  ``max_body_bytes`` are refused with 413 before being read.
 - **Graceful shutdown**: :meth:`ServeDaemon.shutdown` stops the
   listener, flips the service to draining (new executions → 503,
   cached/coalesced serves still answered), waits for in-flight runs,
@@ -33,7 +36,7 @@ import json
 import signal
 import threading
 import time
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from repro.batch.specs import spec_key
 from repro.serve.service import (
@@ -44,7 +47,7 @@ from repro.serve.service import (
     parse_sweep_request,
 )
 
-__all__ = ["ServeDaemon", "running", "serve_forever"]
+__all__ = ["Request", "ServeDaemon", "read_request", "running", "serve_forever"]
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -56,13 +59,82 @@ _REASONS = {
 _JSON_TYPE = "application/json"
 _METRICS_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-#: Hard caps on request framing (headers, not bodies).
+#: Hard caps on request framing (headers, not bodies).  A line past the
+#: StreamReader's own limit (64 KiB by default) fails ``readline`` itself;
+#: both answer 400.
 _MAX_LINE = 8192
 _MAX_HEADERS = 100
 
 
 def _json_body(doc: Mapping[str, Any]) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+class Request(NamedTuple):
+    """One framed HTTP request; header names are lower-cased."""
+
+    method: str
+    path: str
+    version: str
+    headers: dict[str, str]
+    body: bytes
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line ending in LF (CRLF or bare LF); EOF before it raises
+    ``IncompleteReadError``, a line past the caps ``RequestError``."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # past the reader's limit; readline dropped it
+        raise RequestError("line too long") from None
+    if not line.endswith(b"\n"):
+        raise asyncio.IncompleteReadError(line, None)
+    if len(line) > _MAX_LINE:
+        raise RequestError("line too long")
+    return line
+
+
+async def read_request(reader: asyncio.StreamReader,
+                       max_body: int) -> Request | None:
+    """Read one request: request line, headers, then a body of
+    ``Content-Length`` bytes.
+
+    Returns None at EOF, whether before the first byte or partway
+    through a request: the client has gone, so there is nobody to
+    answer.  Raises :class:`RequestError` (400, or 413 before reading a
+    body past ``max_body``) for a request the caller must refuse and
+    close on.  Bytes past the body stay buffered for the next request.
+    """
+    try:
+        line = await _read_line(reader)
+        try:
+            method, path, version = line.decode("latin-1").split()
+        except ValueError:
+            raise RequestError("malformed request line") from None
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = await _read_line(reader)
+            if line in (b"\r\n", b"\n"):
+                break
+            name, sep, value = line.decode("latin-1").partition(":")
+            if not sep:
+                raise RequestError("malformed header")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise RequestError(f"more than {_MAX_HEADERS} headers")
+        text = headers.get("content-length", "0")
+        try:
+            length = int(text) if text.isascii() and text.isdigit() else -1
+        except ValueError:  # more digits than int() converts
+            length = -1
+        if length < 0:
+            raise RequestError("bad Content-Length")
+        if length > max_body:
+            raise RequestError(f"body exceeds {max_body} bytes", status=413)
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        return None
+    return Request(method, path, version, headers, body)
 
 
 class ServeDaemon:
@@ -130,8 +202,7 @@ class ServeDaemon:
             self._conn_tasks.add(task)
         try:
             await self._serve_connection(reader, writer)
-        except (asyncio.CancelledError, asyncio.IncompleteReadError,
-                ConnectionError):
+        except (asyncio.CancelledError, ConnectionError):
             pass  # client went away / shutdown: nothing left to say
         finally:
             if task is not None:
@@ -144,51 +215,24 @@ class ServeDaemon:
                                 writer: asyncio.StreamWriter) -> None:
         assert self.service is not None
         while True:
+            # One deadline per request, idle wait included: a client
+            # that stalls mid-head or mid-body is reaped like an idle one.
             try:
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.cfg.idle_timeout_s)
-            except (asyncio.TimeoutError, TimeoutError):
-                return  # idle reap
-            if not line:
-                return  # client closed cleanly
-            if len(line) > _MAX_LINE:
-                await self._respond(writer, 400,
-                                    _json_body({"error": "request line too long"}),
-                                    close=True)
+                request = await asyncio.wait_for(
+                    read_request(reader, self.cfg.max_body_bytes),
+                    timeout=self.cfg.idle_timeout_s)
+            except asyncio.TimeoutError:
                 return
-            try:
-                method, path, version = line.decode("latin-1").split()
-            except ValueError:
-                await self._respond(writer, 400,
-                                    _json_body({"error": "malformed request line"}),
-                                    close=True)
+            except RequestError as exc:
+                await self._respond(writer, exc.status,
+                                    _json_body({"error": str(exc)}), close=True)
                 return
-            headers = await self._read_headers(reader)
-            if headers is None:
-                await self._respond(writer, 400,
-                                    _json_body({"error": "malformed headers"}),
-                                    close=True)
-                return
+            if request is None:
+                return  # client closed
+            method, path, version, headers, body = request
             connection = headers.get("connection", "").lower()
             close_after = connection == "close" or (
                 version == "HTTP/1.0" and connection != "keep-alive")
-            try:
-                length = int(headers.get("content-length", "0") or "0")
-            except ValueError:
-                length = -1
-            if length < 0:
-                await self._respond(writer, 400,
-                                    _json_body({"error": "bad Content-Length"}),
-                                    close=True)
-                return
-            if length > self.cfg.max_body_bytes:
-                await self._respond(
-                    writer, 413,
-                    _json_body({"error": f"body exceeds "
-                                f"{self.cfg.max_body_bytes} bytes"}),
-                    close=True)
-                return
-            body = await reader.readexactly(length) if length else b""
             t0 = time.monotonic()
             endpoint = "/" + path.lstrip("/").split("/", 1)[0] if path != "/" else "/"
             status, payload, ctype, extra = await self._route(method, path, body)
@@ -198,19 +242,6 @@ class ServeDaemon:
                                 extra=extra, close=close_after)
             if close_after:
                 return
-
-    async def _read_headers(self, reader: asyncio.StreamReader) -> dict[str, str] | None:
-        headers: dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            if line in (b"\r\n", b"\n"):
-                return headers
-            if not line or len(line) > _MAX_LINE or len(headers) >= _MAX_HEADERS:
-                return None
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
-                return None
-            headers[name.strip().lower()] = value.strip()
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        body: bytes, *, ctype: str = _JSON_TYPE,

@@ -117,7 +117,9 @@ class ServeConfig:
     max_cells: int = 256
     #: Seconds shutdown waits for in-flight executions before forcing.
     drain_timeout_s: float = 10.0
-    #: Keep-alive idle timeout per connection, seconds.
+    #: Seconds a connection has to deliver each whole request, counted
+    #: from the end of the previous reply (keep-alive idle time included);
+    #: past it the connection is closed without a reply.
     idle_timeout_s: float = 30.0
     max_body_bytes: int = 1 << 20
 

@@ -44,14 +44,14 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import trace as _trace
 from repro.errors import ReductionError, ScheduleError
 from repro.ops import Op, resolve_op
 from repro.sched import Executor, make_executor
-from repro.sched.base import TaskGroup, current_task_label, task_label_scope
+from repro.sched.base import TaskGroup, current_task_label
 from repro.smp.race import thread_race_window
 from repro.smp.schedule import Schedule, static_iterations
 from repro.smp.sync import AtomicGuard, OrderedCursor, TeamBarrier, TicketLock

@@ -116,6 +116,28 @@ class TestVerdict:
                              "at 0.760 (limit 0.70)")
 
 
+class TestPerPairRecord:
+    def test_each_gate_row_lists_every_pair_in_order(self):
+        head, base = _side(), _side()
+        for pair, run in enumerate(head):
+            run["lab-serve"]["metrics"]["p50_ms"]["value"] = 0.30 + pair / 100
+        lines = ab_gate.pair_lines(head, base, BENCH_DOC)
+        gates = ab_gate.perfbench_gates(BENCH_DOC)
+        assert len(lines) == 1 + len(gates)
+        row = next(line for line in lines if "lab-serve p50_ms:" in line)
+        assert row.split(": ", 1)[1].split(" | ") == [
+            f"0.63 -> {0.30 + pair / 100:.4g}" for pair in range(ab_gate.PAIRS)]
+
+    def test_raw_results_are_written_per_pair(self, tmp_path):
+        pairs = [{"pair": 1, "seed": 0, "first": "head",
+                  "head": _side(1)[0], "base": _side(1)[0]}]
+        path = tmp_path / ab_gate.PAIRS_FILE
+        ab_gate.write_pairs(path, ROOT, tmp_path, pairs)
+        doc = json.loads(path.read_text())
+        assert doc["pairs"] == pairs
+        assert (doc["head"], doc["base"]) == (str(ROOT), str(tmp_path))
+
+
 class TestRetiredGates:
     #: Each ``patternlet bench`` gate the A/B replaced, with the
     #: direction and tolerance it was gated at.
