@@ -14,8 +14,8 @@ never recomputes a deterministic run whose record it has stored:
   stored verdicts or runs it once and stores the record; multi-writer
   safe, so many processes share one root;
 - :mod:`repro.batch.results` — run records (the text, summary and race
-  verdict a sweep reports, plus span and the full event trace) and
-  batch summaries;
+  verdict a sweep reports, plus span and wall time) and batch
+  summaries;
 - :mod:`repro.batch.pool` — the warm ``ProcessPoolExecutor`` fan-out
   with an in-process serial twin.
 
@@ -28,14 +28,7 @@ path end to end.
 
 from repro.batch.cache import RunCache, cache_enabled, default_cache_dir
 from repro.batch.pool import default_workers, map_calls, run_specs, shutdown_pool
-from repro.batch.results import (
-    BatchReport,
-    RunOutcome,
-    decode_value,
-    encode_value,
-    run_from_record,
-    run_to_record,
-)
+from repro.batch.results import BatchReport, RunOutcome, run_to_record
 from repro.batch.specs import (
     FIGURE_RUNS,
     RunSpec,
@@ -52,14 +45,11 @@ __all__ = [
     "RunOutcome",
     "RunSpec",
     "cache_enabled",
-    "decode_value",
     "default_cache_dir",
     "default_workers",
-    "encode_value",
     "engine_fingerprint",
     "figure_suite_specs",
     "map_calls",
-    "run_from_record",
     "run_specs",
     "run_to_record",
     "shutdown_pool",

@@ -25,6 +25,9 @@ Environment knobs (the escape hatches):
 
 Every filesystem touch is wrapped: a read-only HOME, a corrupt record,
 or a concurrent writer degrade to cache misses, never to run failures.
+A record is removed only when its bytes were read and are not a record
+of this schema; one that cannot be opened (out of file descriptors,
+say) is left in place.
 
 The store is explicitly **multi-writer safe**: the batch pool and the
 serve daemon point many worker processes at one root.  Writes go
@@ -40,7 +43,7 @@ second write replaces the first with the same bytes.
 :meth:`RunCache.outcome` is the cache's one front-end: the batch
 pool's ``_exec_spec`` hands it a spec, its key and a way to run it, and
 gets back the spec's outcome — from the record's stored verdicts on a
-hit (no events decoded), or from one live run whose record it stores.
+hit, or from one live run whose record it stores.
 """
 
 from __future__ import annotations
@@ -134,11 +137,13 @@ class RunCache:
     def get(self, key: str) -> dict[str, Any] | None:
         """The record stored under ``key``, or ``None`` (miss).
 
-        A hit touches the file's mtime (the LRU clock).  Unreadable,
-        corrupt, or schema-mismatched records are misses (and corrupt
-        files are removed so they cannot keep costing a parse attempt).
-        A key that is not a content address is a miss that touches no
-        file.
+        A hit touches the file's mtime (the LRU clock).  A record that
+        cannot be opened or read (absent, EMFILE, EACCES, EIO) is a miss
+        that touches no file: it may be valid.  Bytes that were read and
+        are not a record of this schema (corrupt, or an older layout)
+        are a miss too, and the file is removed so it cannot keep
+        costing a parse attempt.  A key that is not a content address
+        is a miss that touches no file.
         """
         if not _is_key(key):
             self.misses += 1
@@ -147,11 +152,11 @@ class RunCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 record = json.load(fh)
-        except (OSError, ValueError):
+        except OSError:
             self.misses += 1
-            if path.exists():
-                _quiet_unlink(path)
             return None
+        except ValueError:  # includes UnicodeDecodeError
+            record = None
         if not isinstance(record, dict) or record.get("schema") != RECORD_SCHEMA:
             self.misses += 1
             _quiet_unlink(path)
@@ -206,8 +211,8 @@ class RunCache:
     ) -> RunOutcome:
         """``spec``'s :class:`RunOutcome`, stored under its content address ``key``.
 
-        A hit is built from the record's stored verdicts and decodes no
-        events.  A miss, or a record too malformed to report from, runs
+        A hit is built from the record's stored verdicts and runs
+        nothing.  A miss, or a record too malformed to report from, runs
         ``execute()`` once, stores the run's record and reports the
         verdicts that write derived.  A run that is not expressible as a
         record is reported uncached.

@@ -1,39 +1,18 @@
 """Run records and batch results: how a captured run crosses a boundary.
 
 A run record is one JSON document per content-addressed cache entry
-(schema 2).  It carries the verdicts a sweep or the serve daemon
-reports — the printed ``text``, the :func:`~repro.obs.derive.run_summary`
-dict (kept as its own JSON text) and its ``races`` count — derived once
-when the record is written, plus the run's span, wall time, metadata,
-result (when expressible) and its full event stream.
-:func:`outcome_from_record` builds a :class:`RunOutcome` from the stored
-verdicts alone; it is the only way any sweep or serve read uses a
-record, so a hit never rebuilds the event stream.
+(schema 3).  It holds the verdicts a sweep or the serve daemon reports
+— the printed ``text``, the :func:`~repro.obs.derive.run_summary` dict
+(kept as its own JSON text) and its ``races`` count — derived once when
+the record is written, plus the run's ``span`` and ``wall`` time, and
+nothing else.  :func:`outcome_from_record` builds a :class:`RunOutcome`
+from the stored verdicts; it is the only way any sweep or serve read
+uses a record.
 
-The events are stored losslessly, and :func:`run_from_record` rebuilds a
-whole :class:`~repro.core.capture.CapturedRun` from them — prints,
-per-task records, span and the happens-before analyses behave as they
-did on the original run.  No production path reads a run back; the
-decoder stays as the tested reader of the stored stream until records
-stop storing events.
-
-JSON alone cannot store a stream faithfully (it collapses tuples —
-happens-before keys like ``("mutex", 3)`` — into lists, which are
-unhashable and would silently break the race detector).  The codec here
-closes the gap with a tagged canonical form:
-
-========  =====================================
-value     encoding
-========  =====================================
-scalar    itself (``None``/bool/int/float/str)
-tuple     ``{"t": [...]}``
-list      ``{"l": [...]}``
-dict      ``{"d": [[key, value], ...]}``
-========  =====================================
-
-Every container is tagged, so the decode is unambiguous; anything
-outside the vocabulary raises :class:`~repro.errors.CacheUnserializable`
-and the run simply executes live instead of being cached.
+A record stores no event stream: no path reads one back, and on the
+173-configuration lab grid the stream was about nine tenths of a
+record's bytes (mean 10.9 KB with it, 0.9 KB without).  A client that
+needs a whole trace runs the spec live.
 
 :class:`RunOutcome` / :class:`BatchReport` are the batch runner's
 per-run and per-batch summaries.
@@ -48,24 +27,21 @@ from typing import Any, Mapping
 from repro.core.capture import CapturedRun
 from repro.errors import CacheUnserializable
 from repro.obs.derive import run_summary
-from repro.trace.events import Event
 
 __all__ = [
     "RECORD_SCHEMA",
     "BatchReport",
     "RunOutcome",
-    "decode_value",
-    "encode_value",
     "outcome_from_record",
     "outcome_from_run",
-    "run_from_record",
     "run_to_record",
 ]
 
 #: Bumped whenever the record layout changes; mismatched records are
-#: treated as cache misses, never as errors.  Schema 2 added the stored
-#: verdicts (``text``, ``summary``, ``races`` from the summary).
-RECORD_SCHEMA = 2
+#: treated as cache misses, never as errors.  Schema 3 keeps only the
+#: verdicts: it dropped the event stream, metadata and result that
+#: schema 2 stored beside them.
+RECORD_SCHEMA = 3
 
 
 def _pct(values: list[float], q: float) -> float:
@@ -74,134 +50,29 @@ def _pct(values: list[float], q: float) -> float:
     rank = max(1, -(-int(q * 100) * len(ordered) // 100))  # ceil(q*n)
     return ordered[min(rank, len(ordered)) - 1]
 
-_TAGS = ("t", "l", "d")
-
-
-def encode_value(value: Any) -> Any:
-    """Canonical-JSON encoding of ``value`` (see module docstring).
-
-    Raises :class:`~repro.errors.CacheUnserializable` for anything
-    outside the vocabulary (arbitrary objects, sets, bytes, ...).
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, tuple):
-        return {"t": [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return {"l": [encode_value(v) for v in value]}
-    if isinstance(value, dict):
-        return {"d": [[encode_value(k), encode_value(v)] for k, v in value.items()]}
-    raise CacheUnserializable(
-        f"value of type {type(value).__name__} is outside the record vocabulary"
-    )
-
-
-def decode_value(wire: Any) -> Any:
-    """Inverse of :func:`encode_value`.
-
-    Only containers are dict-tagged, so scalars pass straight through —
-    the recursion (and its fast paths below) only ever descends into
-    genuine containers, which keeps the cache-hit decode cheap.
-    """
-    if isinstance(wire, dict):
-        if len(wire) != 1:
-            raise CacheUnserializable(f"malformed container tag: {wire!r}")
-        tag, body = next(iter(wire.items()))
-        if tag == "t":
-            return tuple(
-                decode_value(v) if type(v) is dict else v for v in body
-            )
-        if tag == "l":
-            return [decode_value(v) if type(v) is dict else v for v in body]
-        if tag == "d":
-            return {
-                (decode_value(k) if type(k) is dict else k): (
-                    decode_value(v) if type(v) is dict else v
-                )
-                for k, v in body
-            }
-        raise CacheUnserializable(f"unknown container tag {tag!r}")
-    return wire
-
-
-def _event_to_wire(ev: Event) -> list[Any]:
-    # Variable-length row: [seq, task, kind, vtime?, hb_acq?, hb_rel?,
-    # payload?] with trailing empties trimmed.  Most events are bare
-    # [seq, task, kind] rows, which keeps records small and — more
-    # importantly — keeps the hit-path decode allocation-light.
-    payload = encode_value(ev.payload) if ev.payload else None
-    wire = [
-        ev.seq,
-        ev.task,
-        ev.kind,
-        ev.vtime,
-        encode_value(ev.hb_acq),
-        encode_value(ev.hb_rel),
-        payload,
-    ]
-    while len(wire) > 3 and wire[-1] is None:
-        wire.pop()
-    return wire
-
-
-def _event_from_wire(wire: list[Any]) -> Event:
-    n = len(wire)
-    vtime = wire[3] if n > 3 else None
-    hb_acq = wire[4] if n > 4 else None
-    hb_rel = wire[5] if n > 5 else None
-    payload = wire[6] if n > 6 else None
-    # Containers are always dict-tagged on the wire, so a non-dict field
-    # is already its decoded self — the overwhelmingly common case.
-    if type(hb_acq) is dict:
-        hb_acq = decode_value(hb_acq)
-    if type(hb_rel) is dict:
-        hb_rel = decode_value(hb_rel)
-    return Event(
-        wire[0],
-        wire[1],
-        wire[2],
-        vtime,
-        hb_acq,
-        hb_rel,
-        decode_value(payload) if payload is not None else {},
-    )
-
 
 def run_to_record(run: CapturedRun, *, key: str) -> dict[str, Any]:
-    """Serialise a captured run as one content-addressed cache record.
+    """A captured run's verdicts as one content-addressed cache record.
 
     Raises :class:`~repro.errors.CacheUnserializable` when the trace is
-    incomplete (events were dropped — a partial stream must
-    not masquerade as the run) or carries out-of-vocabulary values.  The
-    ``result`` field is best-effort: runtime handles (``WorldResult``,
-    ``TeamResult``) do not serialise, and no deterministic figure check
-    reads them, so an inexpressible result is recorded as absent rather
-    than blocking the cache.
+    incomplete (events were dropped): verdicts derived from a partial
+    stream must not masquerade as the run's.
 
     The run's summary is derived here, once, and stored with its race
     count and printed text: a sweep served from this record reports
-    them without touching the events.  A stored verdict cannot outlive
-    the code that derived it, because the engine fingerprint in every
-    key hashes ``obs/derive.py`` and ``trace/hb.py``.
+    them without running anything.  A stored verdict cannot outlive the
+    code that derived it, because the engine fingerprint in every key
+    hashes ``obs/derive.py`` and ``trace/hb.py``.
     """
     trace = run.trace
     if trace.dropped:
         raise CacheUnserializable("trace is incomplete (dropped events)")
-    events = [_event_to_wire(ev) for ev in trace.events()]
-    meta = encode_value(run.meta)  # an unrecordable run fails before deriving
-    try:
-        result: dict[str, Any] | None = {"value": encode_value(run.result)}
-    except CacheUnserializable:
-        result = None
     summary = run_summary(trace, tasks_hint=run.meta.get("tasks"))
     return {
         "schema": RECORD_SCHEMA,
         "key": key,
-        "events": events,
         "wall": run.wall,
         "span": run.span,
-        "meta": meta,
-        "result": result,
         "text": run.text,
         "summary": json.dumps(summary, separators=(",", ":")),
         "races": summary["races"],
@@ -209,14 +80,14 @@ def run_to_record(run: CapturedRun, *, key: str) -> dict[str, Any]:
 
 
 def run_from_record(record: Mapping[str, Any]) -> CapturedRun:
-    """Rebuild a :class:`CapturedRun` from a cache record.
+    """Always raises :class:`~repro.errors.CacheUnserializable`.
 
-    The trace is preloaded verbatim, so every view — printed text,
-    per-task records, span, the happens-before analyses — behaves
-    exactly as it did on the original run.  ``meta["cached"]`` marks the
-    run as served.
+    A record stores no event stream, so no run can be rebuilt from one.
+    The name is kept only for the benchmark's ``batch.decode`` binding
+    in ``perfbench/tracer.py``, which fails to install without it;
+    delete it together with that binding.
     """
-    return _rebuild(tuple(_event_from_wire(w) for w in record["events"]), record)
+    raise CacheUnserializable("a run record stores no events to rebuild a run from")
 
 
 def outcome_from_record(
@@ -226,9 +97,8 @@ def outcome_from_record(
 
     The one record → outcome path: sweep hits, executed cells (from the
     record their write just derived, ``cached=False``) and the serve
-    daemon's cache tier all report through it.  Reads no events.
-    Raises ``KeyError``, ``TypeError`` or ``ValueError`` for a malformed
-    record.
+    daemon's cache tier all report through it.  Raises ``KeyError``,
+    ``TypeError`` or ``ValueError`` for a malformed record.
     """
     return RunOutcome(
         spec=spec,
@@ -258,19 +128,6 @@ def outcome_from_run(spec: Any, key: str | None, run: CapturedRun) -> "RunOutcom
         races=summary["races"],
         metrics=summary,
     )
-
-
-def _rebuild(events: tuple[Event, ...], record: Mapping[str, Any]) -> CapturedRun:
-    run = CapturedRun()
-    run.trace.preload(events)
-    run.wall = record["wall"]
-    run.span = record["span"]
-    run.meta = decode_value(record["meta"])
-    run.meta["cached"] = True
-    result_wire = record.get("result")
-    if result_wire is not None:
-        run.result = decode_value(result_wire["value"])
-    return run
 
 
 # -- batch summaries ----------------------------------------------------------

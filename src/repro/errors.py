@@ -189,8 +189,10 @@ class BatchError(ReproError):
 class CacheUnserializable(BatchError):
     """A run (or spec) cannot be expressed as a cache record.
 
-    Raised when a trace carries values outside the cache's canonical JSON
-    vocabulary, when the trace is incomplete (dropped events), or
-    when a spec's extras defeat key derivation.  Callers treat it as
-    "execute live, don't cache" — never as a run failure.
+    Raised when the trace is incomplete (dropped events), so verdicts
+    derived from it would not be the run's, and by
+    :func:`repro.batch.results.run_from_record`, since a record stores
+    no events.  A spec whose extras defeat key derivation takes the same
+    path, as a spec with no key.  Callers treat either as "execute live,
+    don't cache" — never as a run failure.
     """

@@ -12,7 +12,9 @@ A deliberately small hand-rolled HTTP/1.1 layer on ``asyncio.start_server``
   request's line, headers and body under one ``idle_timeout_s`` wait, so
   a client that stalls anywhere in a request is reaped like an idle
   one.  Lines and header counts are capped (400), and bodies past
-  ``max_body_bytes`` are refused with 413 before being read.
+  ``max_body_bytes`` are refused with 413 before being read.  Each
+  refusal counts in ``serve_framing_refused{status}`` and each reap in
+  ``serve_connections_reaped``.
 - **Graceful shutdown**: :meth:`ServeDaemon.shutdown` stops the
   listener, flips the service to draining (new executions → 503,
   cached/coalesced serves still answered), waits for in-flight runs,
@@ -222,8 +224,10 @@ class ServeDaemon:
                     read_request(reader, self.cfg.max_body_bytes),
                     timeout=self.cfg.idle_timeout_s)
             except asyncio.TimeoutError:
+                self.service.c_reaped.inc()
                 return
             except RequestError as exc:
+                self.service.c_framing_refused.inc({"status": str(exc.status)})
                 await self._respond(writer, exc.status,
                                     _json_body({"error": str(exc)}), close=True)
                 return

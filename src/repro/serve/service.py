@@ -311,7 +311,7 @@ class PatternletService:
     processes and only their *results* cross back onto the loop.  The
     cache tier reads its record on a reader thread, so a slow disk never
     stalls a memo hit queued behind the read, and builds the response
-    from the record's stored verdicts without decoding the events.
+    from the record's stored verdicts.
     """
 
     #: Finished response bodies kept per spec key (content-addressed, so
@@ -375,6 +375,14 @@ class PatternletService:
         self.c_deadline = reg.counter(
             "serve_deadline_expired", "Admitted executions that timed out "
             "waiting for a slot (503).")
+        self.c_framing_refused = reg.counter(
+            "serve_framing_refused", "Requests refused while reading their "
+            "head, before routing: bad framing (400) or a body past the cap "
+            "(413).")
+        self.c_reaped = reg.counter(
+            "serve_connections_reaped", "Connections closed without a reply "
+            "when the request deadline passed: idle, stalled head or "
+            "half-sent body.")
         self.g_queue = reg.gauge(
             "serve_queue_depth", "Admitted executions waiting for a slot.")
         self.g_inflight = reg.gauge(

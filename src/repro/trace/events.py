@@ -182,20 +182,6 @@ class TraceRecorder:
             evs = [e for e in evs if e.payload.get("scope") == scope]
         return evs
 
-    def preload(self, events: "Iterable[Event]") -> None:
-        """Replace the stream with ``events`` (the deserialisation path).
-
-        Used when a recorded run is rebuilt from a cache record or a wire
-        transfer: the events arrive fully formed (``seq`` already
-        assigned), so they are installed verbatim rather than re-emitted.
-        """
-        evs = list(events)
-        if len(evs) > self.limit:
-            self.limit = len(evs)
-        with self._lock:
-            self._events = evs
-            self._n = evs[-1].seq + 1 if evs else 0
-
     def __getstate__(self) -> dict[str, Any]:
         # Locks cannot cross process boundaries; a recorder travels as its
         # plain state and grows a fresh (necessarily uncontended) lock on

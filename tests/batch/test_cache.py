@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import errno
 import json
 from pathlib import Path
 
+import pytest
+
+import repro.batch.cache as cache_mod
 import repro.core.registry as registry
 from repro.batch.cache import RunCache, cache_enabled, default_cache_dir
 from repro.batch.pool import run_specs
 from repro.batch.results import RECORD_SCHEMA, run_from_record, run_to_record
 from repro.batch.specs import RunSpec, figure_suite_specs, spec_key
 from repro.core.registry import run_patternlet
+from repro.errors import CacheUnserializable
 
 SPMD = RunSpec.make("openmp.spmd", tasks=2, seed=0)
 
@@ -70,6 +75,10 @@ class TestHitNeverExecutes:
         assert len(RunCache(tmp_path)) == 0
 
 
+#: The whole of a schema-3 record: verdicts, span and wall, no events.
+RECORD_KEYS = {"schema", "key", "wall", "span", "text", "summary", "races"}
+
+
 class TestStoredVerdicts:
     """Records carry the verdicts a sweep reports, derived once at write."""
 
@@ -82,25 +91,42 @@ class TestStoredVerdicts:
         cold = self._sweep(tmp_path)
         (outcome,) = cold.outcomes
         record = RunCache(tmp_path).get(outcome.key)
-        assert record["schema"] == RECORD_SCHEMA == 2
+        assert record["schema"] == RECORD_SCHEMA == 3
+        assert set(record) == RECORD_KEYS
         assert record["text"] == outcome.text
         assert json.loads(record["summary"]) == outcome.metrics
         assert record["races"] == outcome.metrics["races"] == outcome.races > 0
 
-    def test_schema_1_record_is_a_miss_and_is_replaced(self, tmp_path):
+    def test_every_figure_suite_record_is_under_4_kb(self, tmp_path):
+        specs = figure_suite_specs(seeds=range(8))
+        report = _sweep(tmp_path, specs)
+        assert not report.errors and report.cache_stats["stores"] == len(specs)
+        sizes = [size for _, size, _ in RunCache(tmp_path)._records()]
+        assert len(sizes) == len(specs)
+        assert max(sizes) < 4096, max(sizes)
+
+    def test_schema_2_record_with_events_is_a_miss_and_is_replaced(self, tmp_path):
         key = spec_key(self._SPEC)
         cold = self._sweep(tmp_path)
         path = RunCache(tmp_path)._path(key)
         old = json.loads(path.read_text())
-        old = {k: v for k, v in old.items() if k not in ("text", "summary")}
-        old["schema"] = 1
+        old.update(schema=2, events=[[0, 0, "task.start"], [1, 0, "task.end", 0.0]],
+                   meta={"d": []}, result=None)
         path.write_text(json.dumps(old))
         again = self._sweep(tmp_path)
         assert again.executed == 1 and again.cache_stats["misses"] == 1
-        assert again.outcomes[0].metrics == cold.outcomes[0].metrics
+        (served,), (live,) = again.outcomes, cold.outcomes
+        assert (served.text, served.span, served.races, served.metrics) == (
+            live.text, live.span, live.races, live.metrics)
         stored = json.loads(path.read_text())
-        assert stored["schema"] == 2
-        assert stored["text"] == cold.outcomes[0].text
+        assert stored["schema"] == 3 and set(stored) == RECORD_KEYS
+        assert (stored["text"], stored["races"]) == (live.text, live.races)
+
+    def test_run_from_record_is_a_stub_that_raises(self, tmp_path):
+        (outcome,) = self._sweep(tmp_path).outcomes
+        record = RunCache(tmp_path).get(outcome.key)
+        with pytest.raises(CacheUnserializable):
+            run_from_record(record)
 
     def test_record_missing_its_verdicts_is_recomputed(self, tmp_path):
         cold = self._sweep(tmp_path)
@@ -148,22 +174,6 @@ class TestStoredVerdicts:
         assert self._sweep(tmp_path).outcomes[0].metrics["races"] > 0
 
 
-class TestRecordRoundTrip:
-    def test_record_round_trip_preserves_trace_and_race_verdict(self):
-        # The record keeps the full event stream; its decoder rebuilds a
-        # run whose trace proves the same race as the live one.
-        from repro.trace import detect_races
-
-        live = run_patternlet("openmp.reduction", toggles={"parallel_for": True}, seed=1)
-        record = json.loads(json.dumps(run_to_record(live, key="k")))
-        served = run_from_record(record)
-        assert served.meta["cached"] is True
-        assert served.text == live.text
-        assert served.span == live.span
-        assert len(detect_races(served.trace)) == len(detect_races(live.trace)) > 0
-        assert served.trace.events() == live.trace.events()
-
-
 class TestEscapeHatches:
     def test_repro_cache_0_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
@@ -208,16 +218,40 @@ class TestKeyForm:
 
 
 class TestStore:
-    def test_corrupt_record_is_a_miss_and_removed(self, tmp_path):
+    @pytest.mark.parametrize("blob", [b"{ not json", b"\xff\xfe not utf-8"],
+                             ids=["not-json", "not-utf-8"])
+    def test_corrupt_record_is_a_miss_and_removed(self, tmp_path, blob):
         _sweep(tmp_path, [SPMD])
         cache = RunCache(tmp_path)
         key = spec_key(SPMD)
         path = cache._path(key)
-        path.write_text("{ not json")
+        path.write_bytes(blob)
         assert cache.get(key) is None
         assert not path.exists()
         again = _sweep(tmp_path, [SPMD])  # recomputes and re-stores
         assert again.executed == 1 and path.exists()
+
+    @pytest.mark.parametrize("code", [errno.EMFILE, errno.EACCES],
+                             ids=["EMFILE", "EACCES"])
+    def test_a_record_that_cannot_be_opened_is_a_miss_left_in_place(
+        self, tmp_path, monkeypatch, code
+    ):
+        _sweep(tmp_path, [SPMD])
+        key = spec_key(SPMD)
+        cache = RunCache(tmp_path)
+        path = cache._path(key)
+        stored = path.read_bytes()
+
+        def failing_open(*a, **k):
+            raise OSError(code, "injected")
+
+        monkeypatch.setattr(cache_mod, "open", failing_open, raising=False)
+        assert cache.get(key) is None
+        assert cache.stats() == {"hits": 0, "misses": 1, "stores": 0, "evictions": 0}
+        assert path.read_bytes() == stored
+        monkeypatch.delattr(cache_mod, "open")
+        record = cache.get(key)
+        assert record is not None and record["key"] == key and cache.hits == 1
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         _sweep(tmp_path, [SPMD])

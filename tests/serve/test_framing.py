@@ -1,9 +1,10 @@
 """Request framing on the wire: malformed, oversized, stalled and pipelined.
 
 Each case sends raw bytes over a socket to a running daemon and checks
-what comes back; afterwards ``/healthz`` must still answer and asyncio
-must have logged no error.  :func:`read_request` is also fed arbitrary
-bytes through a ``StreamReader``.
+what comes back and which ``/metrics`` counter it moved; afterwards
+``/healthz`` must still answer and asyncio must have logged no error.
+:func:`read_request` is also fed arbitrary bytes through a
+``StreamReader``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,13 @@ def _exchange(port: int, chunks, replies: int):
     return got, closed
 
 
+def _refused(daemon) -> dict[str, float]:
+    """``serve_framing_refused`` by status.  The daemons are module-scoped,
+    so a case compares these before and after itself."""
+    family = daemon.service.c_framing_refused
+    return {status: family.value({"status": status}) for status in ("400", "413")}
+
+
 def _assert_still_serving(daemon, caplog) -> None:
     got, _ = _exchange(daemon.port, [HEALTH], 1)
     assert got[0] is not None and got[0][0] == 200
@@ -127,11 +135,15 @@ class TestFraming:
     @pytest.mark.parametrize("name", list(CASES))
     def test_raw_request(self, daemon, caplog, name):
         sends, statuses, closes = CASES[name]
+        before = _refused(daemon)
         got, closed = _exchange(daemon.port, sends, len(statuses))
         assert None not in got, f"connection dropped without a reply: {got}"
         assert [status for status, _, _ in got] == statuses
         assert got[-1][1]["connection"] == ("close" if closes else "keep-alive")
         assert closed is closes
+        after = _refused(daemon)
+        assert {s: after[s] - before[s] for s in after} == {
+            s: statuses.count(int(s)) for s in after}
         _assert_still_serving(daemon, caplog)
 
 
@@ -142,6 +154,7 @@ class TestStalledClients:
         b'POST /run HTTP/1.1\r\nContent-Length: 100\r\n\r\n{',
     ], ids=["idle", "stalled-head", "half-sent-body"])
     def test_closed_without_a_reply_at_the_deadline(self, impatient, caplog, sent):
+        reaped = impatient.service.c_reaped.value()
         with socket.create_connection(("127.0.0.1", impatient.port),
                                       timeout=5) as sock:
             t0 = time.monotonic()
@@ -149,14 +162,17 @@ class TestStalledClients:
             assert sock.recv(1) == b""  # closed, nothing said
             elapsed = time.monotonic() - t0
         assert 0.4 <= elapsed < 3.0, elapsed
+        assert impatient.service.c_reaped.value() == reaped + 1
         _assert_still_serving(impatient, caplog)
 
     def test_half_closed_mid_head_is_closed_without_a_reply(self, impatient, caplog):
+        reaped = impatient.service.c_reaped.value()
         with socket.create_connection(("127.0.0.1", impatient.port),
                                       timeout=5) as sock:
             sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n")
             sock.shutdown(socket.SHUT_WR)
             assert sock.recv(1) == b""
+        assert impatient.service.c_reaped.value() == reaped  # gone, not reaped
         _assert_still_serving(impatient, caplog)
 
 
