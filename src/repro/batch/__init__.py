@@ -9,18 +9,21 @@ never recomputes a deterministic run whose record it has stored:
   addresses over (patternlet source, engine fingerprint, toggles, np,
   scheduler identity, seed);
 - :mod:`repro.batch.cache` — the on-disk LRU record store
-  (``~/.cache/repro-runs``) and its one front-end,
-  :meth:`RunCache.outcome`, which answers a spec from its record's
-  stored verdicts or runs it once and stores the record; multi-writer
-  safe, so many processes share one root;
+  (``~/.cache/repro-runs``), read through :meth:`RunCache.lookup`
+  (a spec's outcome from its record's stored verdicts, or a miss) and
+  written through :meth:`RunCache.store_run` (a missed spec's live run
+  stored as its record); multi-writer safe, so many processes share
+  one root;
 - :mod:`repro.batch.results` — run records (the text, summary and race
   verdict a sweep reports, plus span and wall time) and batch
   summaries;
 - :mod:`repro.batch.pool` — the warm ``ProcessPoolExecutor`` fan-out
-  with an in-process serial twin.
+  with an in-process serial twin; :func:`run_specs` looks every cell up
+  before dispatch, so only misses reach the pool.
 
 Consumers: ``patternlet sweep`` (seed × np grids, ``--jobs N`` workers)
-and the serve daemon's execution lane go through the cache;
+and the serve daemon (its cache tier and execution lane) go through the
+cache;
 ``patternlet selfcheck`` uses the pool only, and runs live.  The
 benchmark's ``grade-cold`` and ``grade-warm`` workloads time the sweep
 path end to end.

@@ -40,10 +40,15 @@ double-count one eviction between them.  Two processes that miss the
 same key at once both compute it; the record is deterministic, so the
 second write replaces the first with the same bytes.
 
-:meth:`RunCache.outcome` is the cache's one front-end: the batch
-pool's ``_exec_spec`` hands it a spec, its key and a way to run it, and
-gets back the spec's outcome — from the record's stored verdicts on a
-hit, or from one live run whose record it stores.
+The cache has a read side and a write side.  :meth:`RunCache.lookup`
+reads: it answers a spec from its record's stored verdicts, or reports
+a miss.  :func:`repro.batch.pool.run_specs` calls it in the sweeping
+process before dispatch, so only misses reach the pool, and the serve
+daemon's cache tier calls it on its reader thread.
+:meth:`RunCache.store_run` writes: the pool's ``_exec_spec`` hands it
+the live run of a missed spec, and it stores the run's record and
+reports the verdicts that write derived, without looking the key up
+again.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import re
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.batch.results import (
     RECORD_SCHEMA,
@@ -206,24 +211,34 @@ class RunCache:
             self.prune()
         return True
 
-    def outcome(
-        self, spec: Any, key: str, execute: Callable[[], CapturedRun]
-    ) -> RunOutcome:
-        """``spec``'s :class:`RunOutcome`, stored under its content address ``key``.
+    def lookup(self, spec: Any, key: str) -> RunOutcome | None:
+        """``spec``'s :class:`RunOutcome` from the record under ``key``, or ``None``.
 
-        A hit is built from the record's stored verdicts and runs
-        nothing.  A miss, or a record too malformed to report from, runs
-        ``execute()`` once, stores the run's record and reports the
-        verdicts that write derived.  A run that is not expressible as a
-        record is reported uncached.
+        The read side: :meth:`get` plus
+        :func:`~repro.batch.results.outcome_from_record`, so a hit is
+        built from the record's stored verdicts and runs nothing.  Each
+        call counts one hit or one miss: a record that :meth:`get`
+        returns but that cannot be reported from (a verdict missing,
+        say) is a miss, and the live run that follows replaces it.
         """
         record = self.get(key)
-        if record is not None:
-            try:
-                return outcome_from_record(spec, key, record)
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed record: run live and replace it
-        run = execute()
+        if record is None:
+            return None
+        try:
+            return outcome_from_record(spec, key, record)
+        except (KeyError, TypeError, ValueError):
+            self.hits -= 1
+            self.misses += 1
+            return None
+
+    def store_run(self, spec: Any, key: str, run: CapturedRun) -> RunOutcome:
+        """``spec``'s :class:`RunOutcome` from ``run``, stored under ``key``.
+
+        The write side, for a spec whose :meth:`lookup` missed: the
+        run's record is derived and stored, and the outcome reports the
+        verdicts that write derived.  A run that is not expressible as a
+        record is reported uncached and stores nothing.
+        """
         try:
             record = run_to_record(run, key=key)
         except CacheUnserializable:

@@ -17,13 +17,16 @@ Work arrives as picklable items plus a module-level function to apply
   twin; results are identical either way (the equivalence tests pin
   this), so the fallback is silent.
 
-With the cache on, each process opens the :class:`~repro.batch.cache.RunCache`
+:func:`run_specs` looks every spec up in the calling process first
+(:meth:`~repro.batch.cache.RunCache.lookup`) and reports its hits
+there; only the misses, and specs without a key, are dispatched, so a
+sweep whose cells all hit builds no pool.  With the cache on, each
+process that runs items opens the :class:`~repro.batch.cache.RunCache`
 at ``cache_dir`` and hands it to ``fn`` as a second argument; that is
-how :func:`run_specs`' cells reach the cache's one front-end,
-:meth:`~repro.batch.cache.RunCache.outcome`.  The on-disk store is the
-only state workers share: its atomic writes make concurrent workers
-safe, and a deterministic run is computed once per sweep unless two
-workers miss its key at the same moment.
+how a missed cell reaches the cache's write side,
+:meth:`~repro.batch.cache.RunCache.store_run`.  The on-disk store is
+the only state workers share: its atomic writes make concurrent
+workers safe.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.batch.cache import RunCache, cache_enabled
 from repro.batch.results import BatchReport, RunOutcome, outcome_from_run
 from repro.batch.specs import RunSpec, spec_key
-from repro.core.capture import CapturedRun
 
 __all__ = [
     "default_workers",
@@ -225,24 +227,23 @@ def map_calls(
     return [result for result, _ in pairs], workers, True
 
 
-def _exec_spec(spec: RunSpec, cache: RunCache | None = None) -> RunOutcome:
-    """Run one spec (on whichever process) and summarise it.
+def _exec_spec(
+    item: tuple[RunSpec, str | None], cache: RunCache | None = None
+) -> RunOutcome:
+    """Run one ``(spec, key)`` item (on whichever process) and summarise it.
 
-    With a ``cache``, a keyed spec goes through the cache's front-end
-    (:meth:`~repro.batch.cache.RunCache.outcome`): one lookup, a hit
-    reported from the record's stored verdicts, a miss executed and
-    derived once as its record is written.  Anything else runs live and
-    derives its summary once.
+    ``key`` is the spec's content address, computed by the caller, or
+    ``None`` for a spec that has none.  The spec always runs live: with
+    a ``cache``, the caller has already looked the key up and missed, so
+    the run's record is stored and the outcome reports the verdicts
+    that write derived (:meth:`~repro.batch.cache.RunCache.store_run`).
+    Anything else derives its summary once.
     """
     from repro.core.registry import run_patternlet
 
+    spec, key = item
     try:
-        key = spec_key(spec)
-    except Exception:  # noqa: BLE001 - an unkeyable spec may still run (or fail)
-        key = None
-
-    def execute() -> CapturedRun:
-        return run_patternlet(
+        run = run_patternlet(
             spec.patternlet,
             tasks=spec.tasks,
             toggles=spec.toggle_dict or None,
@@ -252,11 +253,9 @@ def _exec_spec(spec: RunSpec, cache: RunCache | None = None) -> RunOutcome:
             topology=spec.topology,
             **spec.extra_dict,
         )
-
-    try:
         if cache is not None and key is not None:
-            return cache.outcome(spec, key, execute)
-        return outcome_from_run(spec, key, execute())
+            return cache.store_run(spec, key, run)
+        return outcome_from_run(spec, key, run)
     except Exception as exc:  # noqa: BLE001 - reported per-outcome
         return RunOutcome(
             spec=spec,
@@ -277,24 +276,49 @@ def run_specs(
     use_cache: bool | None = None,
     cache_dir: str | None = None,
 ) -> BatchReport:
-    """Execute a spec grid through the pool + cache; the tentpole entry point.
+    """Execute a spec grid through the cache + pool; the tentpole entry point.
 
-    Order of ``outcomes`` matches the order of ``specs``.  Each outcome
-    carries the run's full printed text, span, happens-before race
-    count, and whether it was served from the cache.  ``use_cache=None``
-    defers to :func:`~repro.batch.cache.cache_enabled` (``REPRO_CACHE``).
+    Each spec is keyed once and, with the cache on, looked up once, in
+    this process: a hit is reported from its record's stored verdicts
+    without dispatch.  The misses, and the specs without a key, go to
+    :func:`map_calls`, so a grid whose cells all hit never builds the
+    pool (``pooled`` is False, ``workers`` 1).  Order of ``outcomes``
+    matches the order of ``specs``.  Each outcome carries the run's full
+    printed text, span, happens-before race count, and whether it was
+    served from the cache.  ``use_cache=None`` defers to
+    :func:`~repro.batch.cache.cache_enabled` (``REPRO_CACHE``).
     """
     specs = list(specs)
     t0 = time.perf_counter()
+    if use_cache is None:
+        use_cache = cache_enabled()
+    cache = RunCache(cache_dir) if use_cache else None
+    outcomes: list[RunOutcome | None] = []
+    misses: list[tuple[RunSpec, str | None]] = []
+    for spec in specs:
+        try:
+            key = spec_key(spec)
+        except Exception:  # noqa: BLE001 - an unkeyable spec may still run (or fail)
+            key = None
+        hit = cache.lookup(spec, key) if cache is not None and key is not None else None
+        outcomes.append(hit)
+        if hit is None:
+            misses.append((spec, key))
     cache_stats: dict[str, int] = {}
-    outcomes, workers, pooled = map_calls(
-        _exec_spec,
-        specs,
-        max_workers=max_workers,
-        use_cache=cache_enabled() if use_cache is None else use_cache,
-        cache_dir=cache_dir,
-        stats_out=cache_stats,
-    )
+    workers, pooled = 1, False
+    if misses:
+        ran, workers, pooled = map_calls(
+            _exec_spec,
+            misses,
+            max_workers=max_workers,
+            use_cache=use_cache,
+            cache_dir=cache_dir,
+            stats_out=cache_stats,
+        )
+        fresh = iter(ran)
+        outcomes = [next(fresh) if o is None else o for o in outcomes]
+    if cache is not None:
+        _merge_stats(cache_stats, cache.stats())
     return BatchReport(
         outcomes=outcomes,
         wall_s=time.perf_counter() - t0,

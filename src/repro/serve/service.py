@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro._version import __version__
-from repro.batch.results import RunOutcome, outcome_from_record
+from repro.batch.results import RunOutcome
 from repro.batch.specs import RunSpec, engine_fingerprint, spec_key, sweep_fingerprint
 from repro.errors import ReproError
 
@@ -309,9 +309,13 @@ class PatternletService:
     metrics registry — is touched only from the event loop thread, so
     none of it needs locks; executions happen on executor threads / pool
     processes and only their *results* cross back onto the loop.  The
-    cache tier reads its record on a reader thread, so a slow disk never
-    stalls a memo hit queued behind the read, and builds the response
-    from the record's stored verdicts.
+    cache tier looks the key up with
+    :meth:`~repro.batch.cache.RunCache.lookup`, the read a sweep makes,
+    on a reader thread, so a slow disk never stalls a memo hit queued
+    behind the read, and builds the response from the record's stored
+    verdicts.  A record that lookup cannot report from is a miss: the
+    spec executes and its record is replaced.  An execution runs the
+    spec and stores its record without looking the key up again.
     """
 
     #: Finished response bodies kept per spec key (content-addressed, so
@@ -455,12 +459,9 @@ class PatternletService:
             self._memo.move_to_end(key)
             return body
         if self._cache is not None:
-            record = await self._read_record(key)
-            if record is not None:
-                try:
-                    return self._payload_for(key, outcome_from_record(None, key, record))
-                except (KeyError, TypeError, ValueError):
-                    return None
+            outcome = await self._lookup(None, key)
+            if outcome is not None:
+                return self._payload_for(key, outcome)
         return None
 
     # -- the /run pipeline ---------------------------------------------------
@@ -485,14 +486,8 @@ class PatternletService:
         if served is not None:
             return served
         if self._cache is not None:
-            record = await self._read_record(key)
-            if record is not None:
-                try:
-                    outcome = outcome_from_record(spec, key, record)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise RequestError(
-                        f"stored record for {key} is unreadable: {exc}",
-                        status=500) from None
+            outcome = await self._lookup(spec, key)
+            if outcome is not None:
                 body = self._payload_for(key, outcome)
                 self.c_cache_hits.inc()
                 return 200, body, "cache"
@@ -519,11 +514,11 @@ class PatternletService:
             return status, body, "coalesce"
         return None
 
-    async def _read_record(self, key: str) -> dict[str, Any] | None:
-        """``RunCache.get`` on the reader thread."""
+    async def _lookup(self, spec: RunSpec | None, key: str) -> RunOutcome | None:
+        """``RunCache.lookup`` on the reader thread."""
         assert self._cache is not None
         return await asyncio.get_running_loop().run_in_executor(
-            self._reader, self._cache.get, key)
+            self._reader, self._cache.lookup, spec, key)
 
     async def _execute(self, key: str, spec: RunSpec) -> tuple[int, bytes]:
         if self._draining:
@@ -557,9 +552,7 @@ class PatternletService:
             self.g_inflight.set(min(self._pending, self.cfg.workers))
             try:
                 self.c_executions.inc()
-                # The lane's own cache counters are not folded in:
-                # serve_run already counted this request's miss.
-                outcome, _ = await self._dispatch(spec)
+                outcome, _ = await self._dispatch(spec, key)
             finally:
                 self._sem.release()
                 self.g_inflight.set(
@@ -587,12 +580,18 @@ class PatternletService:
                 self.g_queue.set(self._queued)
             self._inflight.pop(key, None)
 
-    async def _dispatch(self, spec: RunSpec) -> tuple[RunOutcome, dict[str, int]]:
-        """Run one spec on the execution backend; returns (outcome, stats)."""
+    async def _dispatch(
+        self, spec: RunSpec, key: str
+    ) -> tuple[RunOutcome, dict[str, int]]:
+        """Run one missed spec on the execution backend; returns (outcome, stats).
+
+        The backend runs the spec and stores its record without looking
+        ``key`` up again: :meth:`serve_run` already missed it.
+        """
         from repro.batch.pool import _entry, _exec_spec, submit_one
 
         if self.cfg.workers > 1:
-            fut = submit_one(_exec_spec, spec,
+            fut = submit_one(_exec_spec, (spec, key),
                              workers=self.cfg.workers,
                              use_cache=self._use_cache,
                              cache_dir=self.cfg.cache_dir)
@@ -601,7 +600,7 @@ class PatternletService:
                     return await asyncio.wrap_future(fut)
                 except Exception:  # noqa: BLE001 — pool collapse: lane fallback
                     pass
-        payload = (_exec_spec, spec, self.cfg.cache_dir, self._use_cache)
+        payload = (_exec_spec, (spec, key), self.cfg.cache_dir, self._use_cache)
         return await asyncio.get_running_loop().run_in_executor(
             self._lane, _entry, payload)
 

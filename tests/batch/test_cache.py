@@ -136,6 +136,10 @@ class TestStoredVerdicts:
         path.write_text(json.dumps(broken))
         again = self._sweep(tmp_path)
         assert again.executed == 1 and not again.errors
+        assert again.outcomes[0].cached is False
+        # Read but not reportable: one miss and no hit, then one store.
+        assert again.cache_stats == {"hits": 0, "misses": 1, "stores": 1,
+                                     "evictions": 0}
         assert again.outcomes[0].metrics == cold.outcomes[0].metrics
         assert "summary" in json.loads(path.read_text())
 
@@ -172,6 +176,70 @@ class TestStoredVerdicts:
         first = self._sweep(tmp_path).outcomes[0]
         first.metrics["races"] = -1
         assert self._sweep(tmp_path).outcomes[0].metrics["races"] > 0
+
+
+class TestLookupBeforeDispatch:
+    """A sweep looks every key up in its own process; only misses are dispatched."""
+
+    def test_fully_warm_sweep_builds_no_pool(self, tmp_path, monkeypatch):
+        import repro.batch.pool as pool_mod
+        from repro.batch.pool import shutdown_pool
+
+        specs = figure_suite_specs(seeds=range(2))
+        _sweep(tmp_path, specs)
+        shutdown_pool()
+        _never_execute(monkeypatch)
+        warm = run_specs(specs, max_workers=2, use_cache=True, cache_dir=str(tmp_path))
+        assert pool_mod._POOL is None
+        assert warm.pooled is False and warm.workers == 1
+        assert warm.hit_rate == 1.0 and not warm.errors
+        assert warm.cache_stats == {"hits": len(specs), "misses": 0, "stores": 0,
+                                    "evictions": 0}
+
+    def test_half_warm_sweep_dispatches_only_its_misses(self, tmp_path, monkeypatch):
+        import repro.batch.pool as pool_mod
+        from repro.batch.pool import shutdown_pool
+
+        def fingerprint(report):
+            return [(o.text, o.span, o.races, o.metrics) for o in report.outcomes]
+
+        specs = figure_suite_specs(seeds=range(2))
+        serial = run_specs(specs, max_workers=1, use_cache=False)
+        _sweep(tmp_path, specs[::2])
+        uncached = len(specs[1::2])
+        gets = []
+        real_get = RunCache.get
+
+        def counting_get(cache, key):
+            gets.append(key)
+            return real_get(cache, key)
+
+        dispatched = []
+        real_map_calls = pool_mod.map_calls
+
+        def recording_map_calls(fn, items, **kw):
+            dispatched.extend(spec for spec, _ in items)
+            return real_map_calls(fn, items, **kw)
+
+        monkeypatch.setattr(RunCache, "get", counting_get)
+        monkeypatch.setattr(pool_mod, "map_calls", recording_map_calls)
+        shutdown_pool()  # workers fork with the counting get in place
+        try:
+            half = run_specs(specs, max_workers=2, use_cache=True,
+                             cache_dir=str(tmp_path))
+        finally:
+            shutdown_pool()
+        assert half.pooled and not half.errors
+        assert dispatched == specs[1::2]
+        # Worker lookups would add misses; hits sent to the pool would add
+        # stores.  Neither happens: each key is read once, by the caller.
+        stats = half.cache_stats
+        assert stats["stores"] == stats["misses"] == uncached
+        assert stats["hits"] == len(specs) - uncached
+        assert sorted(gets) == sorted(spec_key(s) for s in specs)
+        assert [o.cached for o in half.outcomes] == [
+            i % 2 == 0 for i in range(len(specs))]
+        assert fingerprint(half) == fingerprint(serial)
 
 
 class TestEscapeHatches:

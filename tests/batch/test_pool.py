@@ -11,7 +11,7 @@ import pytest
 
 import repro.batch.pool as pool_mod
 from repro.batch.pool import default_workers, map_calls, run_specs, shutdown_pool
-from repro.batch.specs import RunSpec, figure_suite_specs
+from repro.batch.specs import RunSpec, figure_suite_specs, spec_key
 from repro.trace import muted, pop_recorder, push_recorder
 from repro.trace.events import TraceRecorder, emit
 
@@ -34,17 +34,17 @@ def _double(x):
 _DIE: dict = {}
 
 
-def _exec_or_die(spec):
+def _exec_or_die(item):
     """``_exec_spec``, except the worker that picks up the marked spec is
     SIGKILLed — once, and never in the parent (the serial rerun)."""
-    if spec == _DIE.get("spec") and os.getpid() != _DIE["parent"]:
+    if item[0] == _DIE.get("spec") and os.getpid() != _DIE["parent"]:
         try:
             os.close(os.open(_DIE["flag"], os.O_CREAT | os.O_EXCL | os.O_WRONLY))
         except FileExistsError:
             pass
         else:
             os.kill(os.getpid(), signal.SIGKILL)
-    return pool_mod._exec_spec(spec)
+    return pool_mod._exec_spec(item)
 
 
 def _run_and_count(spec_seed):
@@ -152,7 +152,8 @@ class TestFallback:
         before = {p.pid for p in multiprocessing.active_children()}
 
         outcomes, workers, pooled = map_calls(
-            _exec_or_die, specs, max_workers=2, use_cache=False
+            _exec_or_die, [(s, spec_key(s)) for s in specs], max_workers=2,
+            use_cache=False,
         )
         assert flag.exists(), "no worker picked up the marked spec"
         assert not pooled and workers == 1

@@ -41,10 +41,10 @@ def _stubbed_service(**cfg):
     service = PatternletService(ServeConfig(**{"use_cache": False, **cfg}))
     calls = []
 
-    async def dispatch(spec):
+    async def dispatch(spec, key):
         calls.append(spec)
         await asyncio.sleep(0.005)  # hold the flight open for attachers
-        out = RunOutcome(spec=spec, key=spec_key(spec), cached=False,
+        out = RunOutcome(spec=spec, key=key, cached=False,
                          text=f"ran {spec.label()}",
                          span=float(spec.seed + (spec.tasks or 0)),
                          wall=0.001, races=0)
@@ -146,8 +146,8 @@ class TestServiceTiers:
         assert service.c_cache_hits.total() == 1.0
 
     def test_each_cold_request_counts_one_miss(self, tmp_path):
-        # The execution lane looks the store up again; its miss is the
-        # same request's and must not be counted twice.
+        # Each request misses the store once, in the cache tier; the
+        # execution lane stores the record without a second lookup.
         specs = [parse_run_request({"patternlet": "openmp.spmd", "np": 2,
                                     "seed": seed}) for seed in range(3)]
         service = PatternletService(

@@ -37,11 +37,10 @@ def _request(port, method, path, body=None, conn=None):
 def _slow_dispatch(daemon, delay):
     """Swap the execution backend for a deterministic slow coroutine."""
     from repro.batch.results import RunOutcome
-    from repro.batch.specs import spec_key
 
-    async def dispatch(spec):
+    async def dispatch(spec, key):
         await asyncio.sleep(delay)
-        out = RunOutcome(spec=spec, key=spec_key(spec), cached=False,
+        out = RunOutcome(spec=spec, key=key, cached=False,
                          text="slow", span=1.0, wall=delay, races=0)
         return out, {"hits": 0, "misses": 1}
 
@@ -234,6 +233,32 @@ class TestCacheTierOffLoop:
         with running(cache_dir=str(tmp_path)) as daemon:  # empty memo
             status, _, stored = _request(daemon.port, "GET", f"/report/{key}")
         assert status == 200 and stored == doc
+
+
+class TestUnreportableRecord:
+    def test_record_missing_its_summary_is_executed_and_replaced(self, tmp_path):
+        # A current-schema record without a verdict is a cache miss, not a
+        # 500: the daemon executes the spec once and rewrites the record.
+        from repro.batch import run_specs
+        from repro.batch.cache import RunCache
+        from repro.batch.specs import spec_key
+        from repro.serve import parse_run_request
+
+        spec = parse_run_request(RUN)
+        run_specs([spec], max_workers=1, use_cache=True, cache_dir=str(tmp_path))
+        path = RunCache(tmp_path)._path(spec_key(spec))
+        broken = json.loads(path.read_text())
+        del broken["summary"]
+        path.write_text(json.dumps(broken))
+        with running(cache_dir=str(tmp_path)) as daemon:
+            replies = [_request(daemon.port, "POST", "/run", RUN) for _ in range(3)]
+            executions = daemon.service.c_executions.total()
+        assert [status for status, _, _ in replies] == [200, 200, 200]
+        assert [h["x-patternlet-served"] for _, h, _ in replies] == [
+            "execute", "memo", "memo"]
+        assert replies[0][2] == replies[1][2] == replies[2][2]
+        assert "summary" in json.loads(path.read_text())
+        assert executions == 1.0
 
 
 class TestReportKeys:
