@@ -26,7 +26,6 @@ from repro.core.analysis import (
     phases_interleaved,
     phases_separated,
 )
-from repro.core.capture import CapturedRun
 from repro.core.registry import run_patternlet
 
 __all__ = ["CheckResult", "FIGURE_CHECKS", "run_selfcheck"]
@@ -40,10 +39,6 @@ class CheckResult:
     description: str
     passed: bool
     detail: str = ""
-
-
-def _check(run: CapturedRun, ok: bool, detail: str = "") -> tuple[bool, str]:
-    return ok, detail
 
 
 def _fig2() -> tuple[bool, str]:

@@ -290,9 +290,6 @@ class Comm:
                 f"{self._world.label!r} failed"
             )
 
-    def _clock(self):
-        return self._my_clock
-
     # -- point-to-point -------------------------------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -465,57 +462,14 @@ class Comm:
         """
         if source != ANY_SOURCE and not 0 <= source < len(self._ranks):
             self._global(source)  # raises with the full diagnostic
-        # Fast path: a matching message is already queued and no recorder
-        # wants the peek/ack/recv events — take it without building the
-        # wait predicate.  Scheduler-neutral: the slow path would not have
-        # blocked (its predicate is true on entry), so no switch is skipped.
-        grp = self._world.group
-        rec = _trace_events._top
-        untraced = rec is None or not rec.recording
-        if untraced and (grp is None or not grp.failed):
-            # Indexed take: a dict probe plus popleft on the bucket —
-            # O(1) regardless of how many messages are in flight (the
-            # old inlined flat scan was O(messages) per receive).
-            msg = self._my_mailbox.take(self._ctx, source, tag)
-            if msg is not None:
-                clock = self._my_clock
-                now = clock.now
-                arrival = msg.arrival
-                clock.now = (arrival if arrival > now else now) + self._ovh
-                if msg.sync:
-                    self._executor.notify()
-                packet = msg.packet
-                k = packet.kind
-                if k is KIND_REF or k is KIND_COW_MOVE:
-                    # By-ref immutable, or a single-consumer flat snapshot
-                    # (cow-move): this recv owns it — no copy either way.
-                    payload = packet.obj
-                else:
-                    payload = packet.unpack()
-                if status:
-                    return payload, Status(
-                        source=msg.source, tag=msg.tag, size=msg.size
-                    )
-                return payload
         self._wait_for_message(source, tag)
-        if untraced and not _trace_active():
-            # Light completion: no events to emit, so skip the peek/ack
-            # bookkeeping of _complete_recv_msg (indexed take as above).
-            msg = self._my_mailbox.take(self._ctx, source, tag)
-            if msg is None:  # pragma: no cover - single consumer per mailbox
-                raise CommError("matched message vanished (mailbox misuse)")
-            clock = self._my_clock
-            now = clock.now
-            arrival = msg.arrival
-            clock.now = (arrival if arrival > now else now) + self._ovh
-            if msg.sync:
-                self._executor.notify()
-        else:
-            msg = self._complete_recv_msg(source, tag)
+        msg = self._complete_recv_msg(source, tag)
         packet = msg.packet
         k = packet.kind
         if k is KIND_REF or k is KIND_COW_MOVE:
-            payload = packet.obj  # see the fast path above: recv owns a move
+            # By-ref immutable, or a single-consumer flat snapshot
+            # (cow-move): this recv owns it — no copy either way.
+            payload = packet.obj
         else:
             payload = packet.unpack()
         if status:
@@ -623,17 +577,6 @@ class Comm:
         hops without ever unpacking it; isolation is preserved because
         every final ``Packet.unpack`` still yields a private copy.
         """
-        grp = self._world.group
-        if not _trace_active() and (grp is None or not grp.failed):
-            msg = self._my_mailbox.take(self._ctx, source, tag)
-            if msg is not None:
-                clock = self._my_clock
-                now = clock.now
-                arrival = msg.arrival
-                clock.now = (arrival if arrival > now else now) + self._ovh
-                if msg.sync:
-                    self._executor.notify()
-                return msg.packet
         self._wait_for_message(source, tag)
         return self._complete_recv_msg(source, tag).packet
 

@@ -158,14 +158,12 @@ class MpRuntime:
         network: "NetworkModel | str | None" = None,
         topology: str | None = None,
         executor: Executor | None = None,
-        batch: int = 1,
     ):
         self.executor = executor or make_executor(
             mode,
             seed=seed,
             policy=policy,
             deadlock_timeout=deadlock_timeout,
-            batch=batch,
         )
         if isinstance(network, str):
             network, profile_cluster = network_profile(network)
@@ -272,16 +270,13 @@ def mpirun(
     cluster: Cluster | None = None,
     network: "NetworkModel | str | None" = None,
     topology: str | None = None,
-    batch: int = 1,
     **kwargs: Any,
 ) -> WorldResult:
     """One-shot launcher (the ``mpirun -np <size>`` analogue).
 
     Builds a fresh :class:`MpRuntime` and runs ``main`` on ``size`` ranks.
     For repeated runs sharing an executor/cost model, construct an
-    :class:`MpRuntime` once and call :meth:`MpRuntime.run`.  ``batch``
-    selects the lockstep arbitration quantum (see
-    :class:`~repro.sched.lockstep.LockstepExecutor`).
+    :class:`MpRuntime` once and call :meth:`MpRuntime.run`.
     """
     runtime = MpRuntime(
         mode=mode,
@@ -292,6 +287,5 @@ def mpirun(
         cluster=cluster,
         network=network,
         topology=topology,
-        batch=batch,
     )
     return runtime.run(size, main, *args, **kwargs)

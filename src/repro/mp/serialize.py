@@ -6,23 +6,22 @@ share one interpreter, so the runtime enforces that property at the
 transport layer — mutating a received object can never be observed by the
 sender, exactly as on the paper's Beowulf cluster.
 
-Unpicklable payloads (open files, locks, thread handles) would be the
-moral equivalent of sending a pointer across the network; they are
-rejected eagerly with :class:`~repro.errors.IsolationError`.
+Unpicklable payloads (open files, locks, thread handles, a
+``memoryview`` into the sender's buffer) would be the moral equivalent of
+sending a pointer across the network; they are rejected eagerly with
+:class:`~repro.errors.IsolationError`.
 
 The byte size of the payload's pickle doubles as the message size for the
 LogP cost model, so "bigger payloads cost more virtual time" falls out for
-free (buffer payloads charge their exact byte count instead — no pickle
-framing).
+free.
 
-:func:`pack_packet` picks a lane from the payload's type alone.  Raw
-buffers travel as bytes and objects as serialised copies — the split
-mpi4py and MPJ Express make — with two shortcuts that each beat the
-pickle fallback on the payload shape they serve.  Each reason below is a
-lane-vs-pickle ablation on its gated message-stream benchmark (2-vCPU
-KVM, Python 3.11.7; medians of 12 alternating pairs, best of 3 per
-sample; DESIGN.md §3.11 has the table, including the retired
-copy-on-write lane):
+:func:`pack_packet` picks a lane from the payload's type alone.  Objects
+travel as serialised copies, with two shortcuts that each beat the pickle
+fallback on the payload shape they serve.  Each reason below is a
+lane-vs-pickle ablation on a message-stream benchmark (2-vCPU KVM, Python
+3.11.7; medians of 12 alternating pairs, best of 3 per sample; DESIGN.md
+§3.11 has the table, including the retired copy-on-write and buffer
+lanes):
 
 ============  =========================================  ===================================
 Lane          Payload shape                              Why it stays
@@ -30,21 +29,19 @@ Lane          Payload shape                              Why it stays
 ``ref``       ``int``/``float``/``str``/``bytes``/       Zero cost: the receiver cannot
               ``bool``/``complex``/``None``, ``range``,  mutate the object, so the
               and ``tuple``/``frozenset`` trees of       reference is the copy.  An ``int``
-              those                                      stream at ``batch=1`` runs
-                                                         70.2k msgs/s vs 60.6k pickled.
+              those                                      stream runs 70.2k msgs/s vs 60.6k
+                                                         pickled.
 ``cow-flat``  ``list`` whose items are all the scalars   One shallow copy per side is the
               above                                      deep copy: 184k vs 159k msgs/s on
                                                          ``[1, 2, 3]``, 103k vs 87k on a
-                                                         64-item list.
+                                                         64-item list (under the retired
+                                                         batched arbitration).
 ``cow-move``  a ``cow-flat`` packet born in              The receiver takes the snapshot
               :meth:`~repro.mp.comm.Comm.send`           instead of copying it (counted in
                                                          the ``cow-flat`` numbers).
-``buffer``    ``bytearray``, ``array.array``,            The only path for ``memoryview``;
-              ``memoryview``                             charges the exact ``nbytes`` to
-                                                         the LogP model; 51.2k vs 45.1k
-                                                         msgs/s on 16 KiB.
 ``pickle``    everything else: nested containers,        The fallback, and the definition
-              custom classes, container subclasses       of isolation.
+              ``bytearray``, ``array.array``, custom     of isolation.
+              classes, container subclasses
 ============  =========================================  ===================================
 
 Exact-type checks only: a *subclass* of ``int`` or ``list`` may carry
@@ -59,7 +56,6 @@ from __future__ import annotations
 
 import pickle
 import threading
-from array import array
 from typing import Any
 
 from repro.errors import IsolationError
@@ -73,7 +69,6 @@ __all__ = [
     "pack_packet",
     "KIND_REF",
     "KIND_PICKLE",
-    "KIND_BUFFER",
     "KIND_COW_FLAT",
     "KIND_COW_MOVE",
 ]
@@ -88,19 +83,13 @@ _IMMUTABLE_SCALARS = frozenset((int, float, str, bytes, bool, complex, type(None
 #: where one shallow copy per side *is* the deep copy.
 KIND_REF = "ref"
 KIND_PICKLE = "pickle"
-KIND_BUFFER = "buffer"
 KIND_COW_FLAT = "cow-flat"
 #: A ``cow-flat`` packet that the point-to-point send path has marked as
 #: single-consumer (born in ``comm.send``, taken by exactly one ``recv``):
 #: the receiver may take the snapshot itself — ownership transfer — instead
 #: of copying it.  ``unpack`` still copies (any path that *might* unpack
-#: twice stays conservative); only the untraced recv fast lanes move.
+#: twice stays conservative); only :meth:`~repro.mp.comm.Comm.recv` moves.
 KIND_COW_MOVE = "cow-move"
-
-#: Buffer-lane reconstructor tags (``Packet.obj`` for KIND_BUFFER).
-_BUF_BYTEARRAY = "bytearray"
-_BUF_MEMORYVIEW = "memoryview"
-_BUF_ARRAY = "array:"  # + typecode
 
 #: Guards lazy ``Packet.size`` memoisation.  A forwarded by-ref or
 #: flat-list packet is shared by several receiver ranks; under the threaded
@@ -158,12 +147,10 @@ class Packet:
     """One payload in transport form, packed at most once.
 
     ``kind`` names the lane: ``"ref"`` (``obj`` is the immutable payload
-    itself), ``"pickle"`` (``data`` holds the pickle), ``"buffer"``
-    (``data`` holds the raw byte snapshot, ``obj`` the reconstructor tag)
-    or ``"cow-flat"`` (``obj`` is a flat scalar-list snapshot; each
-    receiver takes a shallow — hence deep — copy).  ``size`` is the LogP
-    message size: the exact byte count for buffer packets, the pickle
-    length otherwise — computed lazily for by-ref and flat-list packets,
+    itself), ``"pickle"`` (``data`` holds the pickle) or ``"cow-flat"``
+    (``obj`` is a flat scalar-list snapshot; each receiver takes a
+    shallow — hence deep — copy).  ``size`` is the LogP message size: the
+    pickle length, computed lazily for by-ref and flat-list packets,
     since the LogP model only needs it when ``per_byte`` costs are nonzero
     or a receive asks for its :class:`~repro.mp.mailbox.Status`.
 
@@ -217,19 +204,9 @@ class Packet:
         if kind == KIND_COW_FLAT or kind == KIND_COW_MOVE:
             # Flat scalar list: the shallow copy is the deep copy.  (A
             # cow-move packet copies here too: unpack's contract is a fresh
-            # copy per call; the zero-copy take lives in the recv fast
-            # lanes, which know the message is single-consumer.)
+            # copy per call; the zero-copy take lives in Comm.recv, which
+            # knows the message is single-consumer.)
             return self.obj.copy()
-        if kind == KIND_BUFFER:
-            tag = self.obj
-            data = self.data
-            if tag == _BUF_BYTEARRAY:
-                return bytearray(data)
-            if tag == _BUF_MEMORYVIEW:
-                return memoryview(data)  # read-only, zero-copy over the snapshot
-            a = array(tag[len(_BUF_ARRAY) :])
-            a.frombytes(data)
-            return a
         return unpack(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -237,8 +214,6 @@ class Packet:
             return f"Packet(by_ref, {type(self.obj).__name__})"
         if self.kind == KIND_COW_FLAT:
             return f"Packet(cow-flat, {len(self.obj)} items)"
-        if self.kind == KIND_BUFFER:
-            return f"Packet(buffer:{self.obj}, {len(self.data)} bytes)"
         return f"Packet({self._size} bytes)"
 
 
@@ -249,8 +224,8 @@ _all_scalars = _IMMUTABLE_SCALARS.issuperset
 def pack_packet(payload: Any) -> Packet:
     """Pack a payload for transport down the cheapest sound lane.
 
-    Payloads outside the by-ref / flat-list / buffer vocabularies are
-    pickled eagerly, so unpicklable ones still raise
+    Payloads outside the by-ref and flat-list vocabularies are pickled
+    eagerly, so unpicklable ones still raise
     :class:`~repro.errors.IsolationError` at the send site (never later at
     some receive deep inside a collective).
     """
@@ -268,14 +243,6 @@ def pack_packet(payload: Any) -> Packet:
         pkt.data = None
         pkt._size = None
         return pkt
-    if t is bytearray:
-        return Packet(obj=_BUF_BYTEARRAY, data=bytes(payload), kind=KIND_BUFFER)
-    if t is memoryview:
-        return Packet(obj=_BUF_MEMORYVIEW, data=payload.tobytes(), kind=KIND_BUFFER)
-    if t is array:
-        return Packet(
-            obj=_BUF_ARRAY + payload.typecode, data=payload.tobytes(), kind=KIND_BUFFER
-        )
     if (t is tuple or t is frozenset) and is_immutable(payload):
         return Packet(obj=payload)
     return Packet(data=pack(payload))
@@ -287,8 +254,8 @@ def deep_copy_by_value(payload: Any) -> Any:
     Immutable payloads come back as themselves — a rank sending itself an
     ``int`` no longer pays two pickles for a copy that cannot be told
     apart from the original.  Anything else comes back as a private copy
-    through its transport lane: a shallow copy of a flat scalar list, a
-    rebuilt buffer, or a pickle round trip.
+    through its transport lane: a shallow copy of a flat scalar list or a
+    pickle round trip.
     """
     if is_immutable(payload):
         return payload

@@ -4,34 +4,24 @@ Five metric families, each timing one engine path that no perfbench
 workload isolates (the serve and batch paths are timed end to end by
 ``perfbench/``'s ``lab-serve``, ``grade-warm`` and ``grade-cold``):
 
-``msg_throughput_immutable`` / ``msg_throughput_mutable`` /
-``msg_throughput_cow`` / ``msg_throughput_buffer``
+``msg_throughput_immutable`` / ``msg_throughput_flat`` /
+``msg_throughput_pickle``
     One-directional rank0→rank1 message stream under the lockstep
     executor, messages per second — one metric per transport lane
     (:func:`repro.mp.serialize.pack_packet`'s decision ladder).  The
-    immutable variant sends an ``int`` (the by-reference fast path) and
-    deliberately runs at the default ``batch=1``, so it guards the
-    classroom token-handoff path end to end.  The mutable variant sends
-    a small flat ``list`` (the ``cow-flat`` shallow-snapshot lane),
-    ``cow`` a nested 8×8 list (the ``pickle`` lane, which carries every
-    nested payload since the copy-on-write lane it is named after was
-    retired), and ``buffer`` a 16 KiB ``bytearray`` (the
-    buffer-protocol snapshot lane); these three run under batched
-    arbitration (``batch=64``) — the configuration a throughput-bound
-    harness would actually use — which is what moved the mutable gate
-    from 90k to 450k+ msgs/s.
+    immutable variant sends an ``int`` (the by-reference ``ref`` lane),
+    ``flat`` a small flat ``list`` (the ``cow-flat`` shallow-snapshot
+    lane, received as ``cow-move``) and ``pickle`` a nested 8×8 list (the
+    ``pickle`` lane, which carries every nested payload).  Each stream is
+    a classroom run: one policy decision per switch point, so every
+    message costs a token handoff as well as its lane.
 
-``switch_rate`` / ``switch_rate_np64``
-    Lockstep task switches per second: spinners on bare ``checkpoint()``
-    calls, measured over the executor's own step counter.  This isolates
-    the switch-point primitive from transport costs.  ``switch_rate``
-    runs under batched arbitration (``batch=32``), where a quantum'd
-    checkpoint is a few attribute reads instead of an OS handoff — the
-    1M+ switches/s headline.  The ``np64`` variant runs 64 spinners at
-    the default ``batch=1`` and is gated separately: it guards both the
-    un-batched handoff floor and the O(log np) ready index — a
-    per-switch table scan (or a batching regression that leaks into the
-    default path) craters exactly this metric.
+``switch_rate_np64``
+    Lockstep task switches per second: 64 spinners on bare
+    ``checkpoint()`` calls, measured over the executor's own step
+    counter.  This isolates the switch-point primitive from transport
+    costs: it guards both the token-handoff floor and the O(log np)
+    ready index — a per-switch table scan craters exactly this metric.
 
 ``np1024_spmd_wall_s`` / ``run_setup_ms``
     Wall seconds for one warm np=1024 spmd world (no communication): the
@@ -108,10 +98,8 @@ SCHEMA = 1
 #: drop more than ``tolerance`` below the baseline.
 HIGHER_IS_BETTER = (
     "msg_throughput_immutable",
-    "msg_throughput_mutable",
-    "msg_throughput_cow",
-    "msg_throughput_buffer",
-    "switch_rate",
+    "msg_throughput_flat",
+    "msg_throughput_pickle",
     "switch_rate_np64",
 )
 
@@ -126,12 +114,8 @@ LOWER_IS_BETTER = (
 )
 
 
-def bench_msg_throughput(payload: Any = 12345, *, n: int = 3000, batch: int = 1) -> float:
+def bench_msg_throughput(payload: Any = 12345, *, n: int = 3000) -> float:
     """Messages/second for a rank0→rank1 stream of ``payload`` copies.
-
-    ``batch`` selects the lockstep arbitration quantum (see
-    :class:`~repro.sched.lockstep.LockstepExecutor`): 1 measures the
-    classroom default, >1 the amortised-handoff configuration.
 
     The clock runs *inside* the world, from the post-barrier start of the
     stream to the receiver draining its last message.  World setup and
@@ -156,17 +140,17 @@ def bench_msg_throughput(payload: Any = 12345, *, n: int = 3000, batch: int = 1)
         # Draining message n proves rank 0 already stamped the start.
         return time.perf_counter() - start[0]
 
-    rt = MpRuntime(mode="lockstep", seed=0, batch=batch)
+    rt = MpRuntime(mode="lockstep", seed=0)
     with muted():
         dt = rt.run(2, main).results[1]
     return n / dt
 
 
-def bench_switch_rate(*, tasks: int = 4, k: int = 20000, batch: int = 1) -> float:
+def bench_switch_rate(*, tasks: int = 4, k: int = 20000) -> float:
     """Lockstep task switches/second: ``tasks`` spinners × ``k`` checkpoints."""
     from repro.sched.lockstep import LockstepExecutor
 
-    ex = LockstepExecutor(batch=batch)
+    ex = LockstepExecutor()
 
     def body():
         for _ in range(k):
@@ -350,24 +334,17 @@ def run_benchmarks(
     def best_of_3(sample: Callable[[], float]) -> float:
         return round(max(sample() for _ in range(3)), 1)
 
-    note("msg throughput (immutable payload, batch=1 default path)")
+    note("msg throughput (int, ref lane)")
     out["msg_throughput_immutable"] = best_of_3(
         lambda: bench_msg_throughput(12345, n=3000 // scale))
-    note("msg throughput (mutable payload, batch=64)")
-    out["msg_throughput_mutable"] = best_of_3(
-        lambda: bench_msg_throughput([1, 2, 3], n=3000 // scale, batch=64))
-    note("msg throughput (nested 8x8 list, pickle lane, batch=64)")
+    note("msg throughput (flat list, cow-flat lane)")
+    out["msg_throughput_flat"] = best_of_3(
+        lambda: bench_msg_throughput([1, 2, 3], n=3000 // scale))
+    note("msg throughput (nested 8x8 list, pickle lane)")
     nested_payload = [list(range(8)) for _ in range(8)]
-    out["msg_throughput_cow"] = best_of_3(
-        lambda: bench_msg_throughput(nested_payload, n=3000 // scale, batch=64))
-    note("msg throughput (16 KiB bytearray buffer lane, batch=64)")
-    out["msg_throughput_buffer"] = best_of_3(
-        lambda: bench_msg_throughput(bytearray(16384), n=3000 // scale,
-                                     batch=64))
-    note("lockstep switch rate (batch=32)")
-    out["switch_rate"] = best_of_3(
-        lambda: bench_switch_rate(k=20000 // scale, batch=32))
-    note("lockstep switch rate at np=64 (batch=1 default path)")
+    out["msg_throughput_pickle"] = best_of_3(
+        lambda: bench_msg_throughput(nested_payload, n=3000 // scale))
+    note("lockstep switch rate at np=64")
     # Every switch here is an OS thread handoff, so the quick run cuts
     # the count 50x, not 5x: 64 x 400 switches read the same rate as
     # 64 x 4,000 and take a second instead of ten.

@@ -77,7 +77,6 @@ def make_executor(
     seed: int = 0,
     policy: str = "random",
     deadlock_timeout: float = 30.0,
-    batch: int = 1,
 ) -> Executor:
     """Build an executor from a mode string.
 
@@ -94,15 +93,9 @@ def make_executor(
     deadlock_timeout:
         Seconds of global inactivity after which the threaded executor's
         watchdog raises :class:`~repro.errors.DeadlockError`.
-    batch:
-        Lockstep switch points serviced per full arbitration (see
-        :class:`LockstepExecutor`).  The default 1 is the classroom mode
-        whose interleavings match the pinned goldens; larger values trade
-        switch granularity for throughput (the bench's hot mode).  Ignored
-        by the threaded executor.
     """
     if mode == "thread":
         return ThreadExecutor(deadlock_timeout=deadlock_timeout)
     if mode == "lockstep":
-        return LockstepExecutor(policy=make_policy(policy, seed=seed), batch=batch)
+        return LockstepExecutor(policy=make_policy(policy, seed=seed))
     raise ValueError(f"unknown executor mode {mode!r} (use 'thread' or 'lockstep')")

@@ -39,22 +39,21 @@ Switch-point machinery (the hot path of every lockstep run):
   tid — exactly the list the policy contract requires) plus a blocked-task
   index for promotion passes, so a switch costs O(log np) instead of an
   O(np) scan of the task table; this is what makes np=256 runs practical.
-- **Batched arbitration** (``batch=k``, default 1): one full policy
-  decision grants the chosen task a quantum of ``k-1`` further free passes
-  through plain checkpoints, amortising the ~2.6 us OS handoff floor
-  across k observable actions.  Blocking waits, completion and aborts
-  always cancel the quantum and re-arbitrate, so liveness is unchanged;
-  the interleaving is a pure function of ``(seed, batch)`` and the default
-  ``batch=1`` stream is byte-identical to the pinned goldens.
 - Task bodies run on threads **leased from the process-wide rank pool**
   (:mod:`repro.sched.pool`) rather than freshly spawned per run: thread
-  setup/teardown no longer dominates per-run cost at batch rates, and an
+  setup/teardown no longer dominates per-run cost, and an
   aborted/deadlocked run reparks its workers instead of stranding OS
   threads behind the old ``Thread.join(timeout=5.0)``.
 
-If the runnable set empties while blocked tasks remain, every task is woken
+If the runnable set empties while blocked tasks remain, the run aborts
 with a :class:`~repro.errors.DeadlockError` naming each blocked task and
-what it was waiting for.
+what it was waiting for.  An aborted world unwinds one task at a time, in
+task order: the task that hit the abort unwinds first, and each task that
+finishes wakes the lowest-tid task still parked; the outer ``run_tasks``
+raises only once the last task (spawned and nested ones included) has
+unwound.  So the events of the unwind (``task.end``, ``sched.done``) land
+in the run's own recorder, in the same order on every run of the same
+spec, as every other event does.
 
 Limitations (documented, enforced): one lockstep world at a time per
 executor — concurrent ``run_tasks`` calls from *different unmanaged threads*
@@ -102,7 +101,6 @@ class _TaskState:
         "describe",
         "group",
         "record",
-        "quantum",
         "start",
         "deferred",
     )
@@ -119,9 +117,6 @@ class _TaskState:
         self.describe: str | Callable[[], str] = ""
         self.group = group
         self.record = record
-        #: Remaining free fast passes through checkpoint() granted by the
-        #: last full arbitration (batched mode only; always 0 at batch=1).
-        self.quantum = 0
         #: Deferred pool start (run_tasks bodies): the worker thread stays
         #: parked in the pool until the first token grant calls this — one
         #: OS wakeup per rank instead of two.  None once started (or for
@@ -149,26 +144,8 @@ class LockstepExecutor(Executor):
         *,
         policy: Policy | None = None,
         max_steps: int = 5_000_000,
-        batch: int = 1,
     ):
         self.policy = policy if policy is not None else RandomPolicy(0)
-        if not isinstance(batch, int) or batch < 1:
-            raise ValueError(f"batch must be a positive int, got {batch!r}")
-        #: Switch points serviced per full arbitration.  At the default
-        #: ``batch=1`` every checkpoint is a policy decision plus (usually)
-        #: an OS token handoff — the classroom mode, byte-identical to the
-        #: pinned golden interleavings.  At ``batch=k>1`` one arbitration
-        #: grants the chosen task a *quantum* of ``k-1`` further free
-        #: passes through plain checkpoints (~25x cheaper than a handoff:
-        #: no lock, no semaphore, no policy draw), amortising the ~2.6 us
-        #: OS handoff floor across k observable actions.  Blocking waits,
-        #: task completion and aborts always cancel the quantum and take
-        #: the full arbitration path, so no task can starve a peer whose
-        #: predicate its own actions made true for longer than k-1 steps.
-        #: The interleaving is still a pure function of (seed, batch) —
-        #: only the batch=1 stream matches the goldens.
-        self.batch = batch
-        self._quantum = batch - 1
         # Bound once: the policy is fixed for the executor's lifetime and
         # choose() runs on every switch.  For the default RandomPolicy the
         # draw is additionally inlined at the switch sites as
@@ -294,8 +271,18 @@ class LockstepExecutor(Executor):
             gstate.done_event.wait()
             if self._aborted is not None:
                 # Give every task body a moment to unwind before raising.
-                # Leases are reclaimed by the pool even when a body is
-                # still unwinding: no OS thread is stranded either way.
+                # Spawned and nested tasks have higher tids than this
+                # group's, so they unwind after it: wait for the last
+                # task of the world, or no unwind event of theirs lands
+                # before the run returns.  Leases are reclaimed by the
+                # pool even when a body is still unwinding: no OS thread
+                # is stranded either way.
+                with self._cond:
+                    self._ext_waiters += 1
+                    try:
+                        self._cond.wait_for(lambda: self._undone == 0, timeout=5.0)
+                    finally:
+                        self._ext_waiters -= 1
                 for l in leases:
                     l.join(timeout=5.0)
                 # A real task failure often *causes* the subsequent
@@ -367,14 +354,6 @@ class LockstepExecutor(Executor):
             return
         if self._aborted is not None:
             raise _AbortUnwind()
-        if me.quantum:
-            # Batched mode: this switch point is covered by the quantum the
-            # last full arbitration granted — service it for free (no lock,
-            # no policy draw, no handoff).  The dirty flag is deliberately
-            # left alone: promotions run at the next full arbitration.
-            me.quantum -= 1
-            self._steps += 1
-            return
         with self._lock:
             me.status = _RUNNABLE
             ready = self._ready
@@ -395,31 +374,24 @@ class LockstepExecutor(Executor):
             if chosen == me.tid:
                 del ready[i]
                 me.status = _RUNNING
-                me.quantum = self._quantum
                 return
             nxt = self._tasks[chosen]
             self._steps += 1
             if self._steps > self.max_steps:
-                self._abort_locked(
-                    SchedulerError(
-                        f"lockstep step limit exceeded ({self.max_steps}); "
-                        "probable livelock"
-                    )
-                )
+                self._abort_locked(self._step_limit_error())
+                raise _AbortUnwind()
+            del ready[i]
+            nxt.status = _RUNNING
+            self._current = nxt.tid
+            rec = _trace_events._top
+            if rec is not None and rec.recording:
+                rec.emit("sched.run", task=nxt.label)
+            s = nxt.start
+            if s is None:
+                nxt.sem.release()
             else:
-                del ready[i]
-                nxt.status = _RUNNING
-                nxt.quantum = self._quantum
-                self._current = nxt.tid
-                rec = _trace_events._top
-                if rec is not None and rec.recording:
-                    rec.emit("sched.run", task=nxt.label)
-                s = nxt.start
-                if s is None:
-                    nxt.sem.release()
-                else:
-                    nxt.start = None
-                    s()
+                nxt.start = None
+                s()
         me.sem.acquire()
         if self._aborted is not None:
             raise _AbortUnwind()
@@ -436,11 +408,6 @@ class LockstepExecutor(Executor):
             if self._aborted is not None:
                 raise _AbortUnwind()
             blocked = True
-            # A blocking task surrenders whatever quantum it held: the
-            # full arbitration below re-evaluates predicates and draws a
-            # fresh policy decision, so batching can never convert a
-            # satisfiable wait into a starvation.
-            me.quantum = 0
             with self._lock:
                 me.status = _BLOCKED
                 me.pred = pred
@@ -465,7 +432,7 @@ class LockstepExecutor(Executor):
                     self._promote_locked()
                 if not ready:
                     self._abort_locked(self._deadlock_locked())
-                    break
+                    raise _AbortUnwind()
                 rb = self._randbelow
                 if rb is not None:
                     i = rb(len(ready))
@@ -480,26 +447,20 @@ class LockstepExecutor(Executor):
                 nxt = self._tasks[chosen]
                 self._steps += 1
                 if self._steps > self.max_steps:
-                    self._abort_locked(
-                        SchedulerError(
-                            f"lockstep step limit exceeded ({self.max_steps}); "
-                            "probable livelock"
-                        )
-                    )
+                    self._abort_locked(self._step_limit_error())
+                    raise _AbortUnwind()
+                del ready[i]
+                nxt.status = _RUNNING
+                self._current = nxt.tid
+                rec = _trace_events._top
+                if rec is not None and rec.recording:
+                    rec.emit("sched.run", task=nxt.label)
+                s = nxt.start
+                if s is None:
+                    nxt.sem.release()
                 else:
-                    del ready[i]
-                    nxt.status = _RUNNING
-                    nxt.quantum = self._quantum
-                    self._current = nxt.tid
-                    rec = _trace_events._top
-                    if rec is not None and rec.recording:
-                        rec.emit("sched.run", task=nxt.label)
-                    s = nxt.start
-                    if s is None:
-                        nxt.sem.release()
-                    else:
-                        nxt.start = None
-                        s()
+                    nxt.start = None
+                    s()
             me.sem.acquire()
             if self._aborted is not None:
                 raise _AbortUnwind()
@@ -582,30 +543,19 @@ class LockstepExecutor(Executor):
         if self._aborted is not None:
             raise _AbortUnwind()
 
-    def _check_abort(self) -> None:
-        if self._aborted is not None:
-            raise _AbortUnwind()
-
     def _hand_token_locked(self, nxt: _TaskState) -> None:
         if self._aborted is not None:
-            # _abort_locked already released every live semaphore; a second
-            # release would raise (binary semaphore).  Everyone is unwinding.
+            # The abort unwind wakes tasks itself (_wake_next_locked).
             return
         self._steps += 1
         if self._steps > self.max_steps:
-            self._abort_locked(
-                SchedulerError(
-                    f"lockstep step limit exceeded ({self.max_steps}); "
-                    "probable livelock"
-                )
-            )
+            self._abort_locked(self._step_limit_error())
             return
         ready = self._ready
         i = bisect_left(ready, nxt.tid)
         if i < len(ready) and ready[i] == nxt.tid:
             del ready[i]
         nxt.status = _RUNNING
-        nxt.quantum = self._quantum
         self._current = nxt.tid
         rec = _trace_events._top
         if rec is not None and rec.recording:
@@ -665,7 +615,6 @@ class LockstepExecutor(Executor):
     def _finish(self, st: _TaskState) -> None:
         with self._lock:
             st.status = _DONE
-            st.quantum = 0
             self._undone -= 1
             rec = _trace_events._top
             if rec is not None and rec.recording:
@@ -686,6 +635,8 @@ class LockstepExecutor(Executor):
                     ]
                     if live:
                         self._abort_locked(self._deadlock_locked())
+            else:
+                self._wake_next_locked()
             if group_done:
                 st.group.done_event.set()
             if self._ext_waiters:
@@ -701,6 +652,11 @@ class LockstepExecutor(Executor):
                 self._blocked.clear()
                 self._current = None
 
+    def _step_limit_error(self) -> SchedulerError:
+        return SchedulerError(
+            f"lockstep step limit exceeded ({self.max_steps}); probable livelock"
+        )
+
     def _deadlock_locked(self) -> DeadlockError:
         blocked = {
             st.label: resolve_describe(st.describe) or "unspecified condition"
@@ -713,13 +669,32 @@ class LockstepExecutor(Executor):
         )
 
     def _abort_locked(self, exc: BaseException) -> None:
-        if self._aborted is None:
-            self._aborted = exc
-        # Wake everything; each task unwinds via _AbortUnwind, every group
-        # waiter is released, and parked unmanaged waiters re-check.
+        if self._aborted is not None:
+            return
+        self._aborted = exc
         for st in self._tasks.values():
             if st.status in (_BLOCKED, _RUNNABLE, _RUNNING):
                 st.group.group.failed = True
+        # Unwind one task at a time, in task order, so the unwind's events
+        # land in the same order on every run.  A live managed caller
+        # unwinds first, by itself (it raises _AbortUnwind right after
+        # this); otherwise the lowest-tid parked task goes first.  Each
+        # _finish after the abort wakes the next one.
+        if getattr(self._tls, "state", None) is None:
+            self._wake_next_locked()
+        # Release every group waiter and parked unmanaged waiter: an outer
+        # run_tasks joins its leases, so it returns only once all have
+        # unwound.
+        groups = {id(st.group): st.group for st in self._tasks.values()}
+        for g in groups.values():
+            g.done_event.set()
+        self._cond.notify_all()
+
+    def _wake_next_locked(self) -> None:
+        """Wake the lowest-tid parked task of an aborted world to unwind."""
+        for st in self._tasks.values():  # insertion order is tid order
+            if st.status is _BLOCKED or st.status is _RUNNABLE:
+                st.status = _RUNNING
                 s = st.start
                 if s is not None:
                     # Never-started deferred body: releasing its semaphore
@@ -727,15 +702,9 @@ class LockstepExecutor(Executor):
                     # it so it observes the abort and unwinds via _finish.
                     st.start = None
                     s()
-                elif st.sem.locked():
-                    try:
-                        st.sem.release()
-                    except RuntimeError:  # pragma: no cover - lost race: already released
-                        pass
-        groups = {id(st.group): st.group for st in self._tasks.values()}
-        for g in groups.values():
-            g.done_event.set()
-        self._cond.notify_all()
+                else:
+                    st.sem.release()
+                return
 
 
 class _AbortUnwind(BaseException):

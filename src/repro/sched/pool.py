@@ -142,39 +142,22 @@ class RankThreadPool:
             w.wake.release()
         return out
 
-    def prepare(
-        self, fn: Callable[..., Any], args: Sequence[Any] = (), *, name: str = "rank"
-    ) -> tuple[Lease, Callable[[], None]]:
-        """Stage ``fn(*args)`` on a pooled worker without waking it.
-
-        Returns ``(lease, start)``; the body runs only once ``start()`` is
-        called.  This lets the lockstep executor fuse the pool wake with
-        the first token grant: a plain lease wakes the worker just to park
-        it again on the token semaphore — two OS wakeups per rank, which
-        at np=1024 is the dominant setup cost.
-        """
-        out = Lease(name)
-        with self._lock:
-            self._leases += 1
-            self._active += 1
-            w = self._idle.pop() if self._idle else None
-            if w is None:
-                w = _Worker()
-                self._spawned += 1
-        w.job = (fn, args, out)
-        return out, self._starter(w, name)
-
     def prepare_many(
         self,
         fn: Callable[..., Any],
         argss: Sequence[Sequence[Any]],
         names: Sequence[str],
     ) -> tuple[list[Lease], list[Callable[[], None]]]:
-        """Batch :meth:`prepare`: one pool-lock acquisition for n workers.
+        """Stage n bodies on pooled workers without waking them.
 
-        Per-lease locking was O(n) contended acquisitions against workers
-        reparking from the previous run — measurably quadratic-feeling at
-        np=1024 world setup.
+        Returns ``(leases, starters)``; body *i* runs only once
+        ``starters[i]()`` is called.  This lets the lockstep executor fuse
+        the pool wake with the first token grant: a plain lease wakes the
+        worker just to park it again on the token semaphore — two OS
+        wakeups per rank, which at np=1024 is the dominant setup cost.
+        One pool-lock acquisition covers all n workers: per-lease locking
+        was O(n) contended acquisitions against workers reparking from
+        the previous run.
         """
         n = len(argss)
         outs = [Lease(nm) for nm in names]

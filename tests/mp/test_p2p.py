@@ -53,6 +53,18 @@ class TestSendRecv:
 
         assert run(2, main, mode=any_mode).results[1] == list(range(10))
 
+    def test_flat_list_stream_arrives_in_order(self, any_mode):
+        # Flat lists take the cow-flat lane, which send hands to the one
+        # receiver as a cow-move packet.
+        def main(comm):
+            if comm.rank == 0:
+                for i in range(20):
+                    comm.send([i], dest=1, tag=0)
+                return None
+            return [comm.recv(source=0, tag=0)[0] for _ in range(20)]
+
+        assert run(2, main, mode=any_mode).results[1] == list(range(20))
+
     def test_any_source_wildcard(self, any_mode):
         def main(comm):
             if comm.rank == 0:

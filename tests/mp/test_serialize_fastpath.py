@@ -28,6 +28,7 @@ from __future__ import annotations
 import copy
 import pickle
 import threading
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -184,33 +185,47 @@ class TestExtendedByRefVocabulary:
         assert got == [1]
 
 
-class TestBufferLane:
-    def test_bytearray_roundtrip_exact_size(self):
+class TestBufferTypes:
+    """Buffer-protocol payloads get no lane of their own.
+
+    ``bytearray`` and ``array.array`` pickle correctly, so they take the
+    pickle lane.  A ``memoryview`` points into the sender's memory and does
+    not pickle, so its send fails at the send site.
+    """
+
+    def test_bytearray_takes_the_pickle_lane(self):
         payload = bytearray(b"abc" * 100)
         packet = pack_packet(payload)
-        assert packet.kind == "buffer"
-        assert packet.size == len(payload)  # exact nbytes, no pickle framing
+        assert packet.kind == KIND_PICKLE
         got = packet.unpack()
+        assert type(got) is bytearray
         assert got == payload and got is not payload
-        got.append(0)
-        assert len(payload) == 300
+        got.append(0)  # the receiver mutates its copy
+        assert payload == bytearray(b"abc" * 100)
 
-    def test_array_roundtrip_preserves_typecode(self):
-        from array import array
-
+    def test_array_takes_the_pickle_lane_and_keeps_its_typecode(self):
         payload = array("d", [1.5, 2.5])
         packet = pack_packet(payload)
-        assert packet.kind == "buffer"
-        assert packet.size == payload.itemsize * 2
+        assert packet.kind == KIND_PICKLE
         got = packet.unpack()
-        assert got == payload and got.typecode == "d"
+        assert type(got) is array and got.typecode == "d"
+        assert got == payload and got is not payload
+        got[0] = 9.0  # the receiver mutates its copy
+        assert payload == array("d", [1.5, 2.5])
 
-    def test_memoryview_receiver_gets_readonly_view(self):
-        payload = memoryview(bytearray(b"hello"))
-        packet = pack_packet(payload)
-        got = packet.unpack()
-        assert bytes(got) == b"hello"
-        assert got.readonly  # zero-copy over the snapshot: must be immutable
+    def test_memoryview_send_fails_at_the_send_site(self):
+        def main(comm):
+            if comm.rank == 0:
+                comm.send(memoryview(bytearray(b"hello")), 1)
+            else:
+                comm.recv(source=0)
+
+        with pytest.raises(ParallelError) as ei:
+            mpirun(2, main, mode="lockstep", seed=0)
+        sender = ei.value.failures[0]
+        assert sender.label == "mpi:0"
+        assert isinstance(sender.cause, IsolationError)
+        assert "memoryview" in str(sender.cause)
 
 
 class TestLazySizeRace:

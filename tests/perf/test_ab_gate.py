@@ -19,10 +19,8 @@ BENCH_DOC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 ENGINE = {
     "msg_throughput_immutable": 80000.0,
-    "msg_throughput_mutable": 400000.0,
-    "msg_throughput_cow": 90000.0,
-    "msg_throughput_buffer": 60000.0,
-    "switch_rate": 1.9e6,
+    "msg_throughput_flat": 70000.0,
+    "msg_throughput_pickle": 50000.0,
     "switch_rate_np64": 75000.0,
     "bcast_ms_p32": 3.8,
     "allreduce_ms_p64": 12.0,
@@ -52,19 +50,19 @@ class TestVerdict:
     def test_identical_sides_pass(self):
         lines, failures = _verdict(_side(), _side())
         assert failures == []
-        assert sum(line.endswith("  ok") for line in lines) == 12
+        assert sum(line.endswith("  ok") for line in lines) == 10
         assert "FAIL" not in "\n".join(lines)
 
     def test_switch_rate_drop_of_40_percent_fails(self):
         head = _side()
         for run in head:
-            run["engine"]["switch_rate"] *= 0.6
+            run["engine"]["switch_rate_np64"] *= 0.6
         _, failures = _verdict(head, _side())
-        assert len(failures) == 1 and failures[0].startswith("switch_rate:")
+        assert len(failures) == 1 and failures[0].startswith("switch_rate_np64:")
 
     def test_a_single_slow_pair_does_not_move_the_median(self):
         head = _side()
-        head[0]["engine"]["switch_rate"] *= 0.1
+        head[0]["engine"]["switch_rate_np64"] *= 0.1
         assert _verdict(head, _side())[1] == []
 
     @pytest.mark.parametrize("rise, fails", [(1.24, False), (1.26, True)])
@@ -109,10 +107,10 @@ class TestVerdict:
     def test_worst_gated_ratio_is_reported(self):
         head = _side()
         for run in head:
-            run["engine"]["msg_throughput_mutable"] *= 0.76
+            run["engine"]["msg_throughput_flat"] *= 0.76
         lines, failures = _verdict(head, _side())
         assert failures == []
-        assert lines[-1] == ("worst gated head/base: msg_throughput_mutable "
+        assert lines[-1] == ("worst gated head/base: msg_throughput_flat "
                              "at 0.760 (limit 0.70)")
 
 

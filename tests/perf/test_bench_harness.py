@@ -21,8 +21,8 @@ from repro.perf.bench import (
 
 METRICS = {
     "msg_throughput_immutable": 100000.0,
-    "msg_throughput_mutable": 50000.0,
-    "switch_rate": 200000.0,
+    "msg_throughput_flat": 50000.0,
+    "switch_rate_np64": 200000.0,
     "run_setup_ms": 0.05,
     "selfcheck_cold_wall_s": 0.07,
 }
@@ -33,14 +33,16 @@ class TestComparePolicy:
         assert compare(METRICS, METRICS) == []
 
     def test_small_dip_within_tolerance_passes(self):
-        current = dict(METRICS, switch_rate=METRICS["switch_rate"] * 0.75)
+        current = dict(METRICS,
+                       switch_rate_np64=METRICS["switch_rate_np64"] * 0.75)
         assert compare(current, METRICS, tolerance=0.30) == []
 
     def test_throughput_collapse_fails(self):
-        current = dict(METRICS, switch_rate=METRICS["switch_rate"] * 0.5)
+        current = dict(METRICS,
+                       switch_rate_np64=METRICS["switch_rate_np64"] * 0.5)
         failures = compare(current, METRICS, tolerance=0.30)
         assert len(failures) == 1
-        assert "switch_rate" in failures[0]
+        assert "switch_rate_np64" in failures[0]
 
     def test_latency_regression_never_fails(self):
         # Wall/latency metrics are reported, not gated (too noisy in CI).
@@ -48,21 +50,20 @@ class TestComparePolicy:
         assert compare(current, METRICS) == []
 
     def test_missing_metric_is_skipped(self):
-        current = {k: v for k, v in METRICS.items() if k != "switch_rate"}
+        current = {k: v for k, v in METRICS.items() if k != "switch_rate_np64"}
         assert compare(current, METRICS) == []
         assert compare(METRICS, current) == []
 
     def test_tolerance_is_configurable(self):
-        current = dict(METRICS, switch_rate=METRICS["switch_rate"] * 0.75)
+        current = dict(METRICS,
+                       switch_rate_np64=METRICS["switch_rate_np64"] * 0.75)
         assert compare(current, METRICS, tolerance=0.10) != []
 
     def test_only_throughput_metrics_can_gate(self):
         assert set(HIGHER_IS_BETTER) == {
             "msg_throughput_immutable",
-            "msg_throughput_mutable",
-            "msg_throughput_cow",
-            "msg_throughput_buffer",
-            "switch_rate",
+            "msg_throughput_flat",
+            "msg_throughput_pickle",
             "switch_rate_np64",
         }
         assert set(bench.LOWER_IS_BETTER) == {
@@ -73,21 +74,21 @@ class TestComparePolicy:
     def test_gated_metric_absent_from_baseline_warns_but_passes(self):
         # An older baseline file predating a gated metric must not fail
         # the check — but the un-armed gate is reported, not silent.
-        current = dict(METRICS, msg_throughput_buffer=1000.0)
+        current = dict(METRICS, msg_throughput_pickle=1000.0)
         skips: list[str] = []
         assert compare(current, METRICS, on_skip=skips.append) == []
         assert len(skips) == 1
-        assert "msg_throughput_buffer" in skips[0]
+        assert "msg_throughput_pickle" in skips[0]
         assert "regenerate the baseline" in skips[0]
 
     def test_gated_metric_absent_from_this_run_warns_but_passes(self):
         # A gate the baseline arms but this run no longer measures (a
         # renamed or deleted bench) must surface, not pass silently.
-        baseline = dict(METRICS, msg_throughput_buffer=1000.0)
+        baseline = dict(METRICS, msg_throughput_pickle=1000.0)
         skips: list[str] = []
         assert compare(METRICS, baseline, on_skip=skips.append) == []
         assert skips == [
-            "msg_throughput_buffer: absent from this run; gate skipped"
+            "msg_throughput_pickle: absent from this run; gate skipped"
         ]
         baseline = dict(METRICS, bcast_ms_p32=2.0)
         skips.clear()
@@ -105,8 +106,8 @@ class TestComparePolicy:
         assert compare({}, METRICS) == failures
 
     def test_no_skip_warning_when_baseline_has_the_metric(self):
-        current = dict(METRICS, msg_throughput_buffer=1000.0)
-        baseline = dict(METRICS, msg_throughput_buffer=900.0)
+        current = dict(METRICS, msg_throughput_pickle=1000.0)
+        baseline = dict(METRICS, msg_throughput_pickle=900.0)
         skips: list[str] = []
         assert compare(current, baseline, on_skip=skips.append) == []
         assert skips == []
@@ -144,7 +145,8 @@ class TestReports:
         assert keys == sorted(keys)
 
     def test_format_table_shows_baseline_ratios(self):
-        current = dict(METRICS, switch_rate=METRICS["switch_rate"] * 2)
+        current = dict(METRICS,
+                       switch_rate_np64=METRICS["switch_rate_np64"] * 2)
         lines = format_table(current, METRICS)
         assert any("2.00x baseline" in line for line in lines)
         assert len(lines) == len(current)
@@ -203,14 +205,14 @@ class TestCli:
             bench,
             "run_benchmarks",
             lambda *, quick, progress=None, topology=None: dict(
-                METRICS, msg_throughput_buffer=1000.0
+                METRICS, msg_throughput_pickle=1000.0
             ),
         )
         baseline = tmp_path / "baseline.json"
         save_report(str(baseline), make_report(METRICS))  # predates the metric
         assert main(["bench", "--quick", "--check", str(baseline)]) == 0
         err = capsys.readouterr().err
-        assert "warning:" in err and "msg_throughput_buffer" in err
+        assert "warning:" in err and "msg_throughput_pickle" in err
         assert "perf check passed" in err
 
     @pytest.mark.parametrize("text", ["{}", "[]", '{"metrics": {}}'])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, ParallelError, SchedulerError
+from repro.mp import MpRuntime, mpirun
 from repro.sched import LockstepExecutor, ThreadExecutor, make_executor
 from repro.sched.base import current_task_label
 from repro.trace import using_recorder
@@ -254,6 +255,35 @@ class TestLockstepDeterminism:
         events = [(ev.kind, ev.task) for ev in rec.events()]
         assert ("sched.done", "a") in events and ("sched.done", "b") in events
 
+    @pytest.mark.parametrize("workload", ["spinners", "producer-consumer"])
+    def test_step_count_counts_every_token_handoff(self, workload):
+        # Every switch that hands the token to another task is one step
+        # and one sched.run event; switch_rate_np64 divides by the count.
+        ex = make_executor("lockstep", seed=5)
+        box = []
+
+        def spinner():
+            for _ in range(40):
+                ex.checkpoint()
+
+        def producer():
+            for i in range(20):
+                box.append(i)
+                ex.notify()
+
+        def consumer():
+            for i in range(20):
+                ex.wait_until(lambda i=i: len(box) > i, describe="item")
+
+        bodies = {
+            "spinners": [spinner] * 3,
+            "producer-consumer": [consumer, producer],
+        }[workload]
+        with using_recorder() as rec:
+            ex.run_tasks(bodies, [f"t{i}" for i in range(len(bodies))])
+        runs = sum(1 for ev in rec.events() if ev.kind == "sched.run")
+        assert ex.step_count == runs > len(bodies)
+
     def test_step_limit_aborts_livelock(self):
         ex = LockstepExecutor(max_steps=100)
 
@@ -308,6 +338,26 @@ class TestFactory:
     def test_modes_expose_name(self):
         assert make_executor("thread").mode == "thread"
         assert make_executor("lockstep").mode == "lockstep"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LockstepExecutor(batch=4),
+            lambda: make_executor("lockstep", batch=4),
+            lambda: MpRuntime(mode="lockstep", batch=4),
+        ],
+        ids=["LockstepExecutor", "make_executor", "MpRuntime"],
+    )
+    def test_lockstep_has_no_batch_knob(self, build):
+        # One policy decision per switch point is the only arbitration.
+        with pytest.raises(TypeError, match="batch"):
+            build()
+
+    def test_mpirun_hands_batch_to_main_like_any_keyword(self):
+        def main(comm, batch):
+            return batch
+
+        assert mpirun(2, main, mode="lockstep", batch=4).results == [4, 4]
 
 
 class TestLabelUtilities:

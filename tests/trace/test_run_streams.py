@@ -38,18 +38,11 @@ def _lab_configs() -> list[tuple[str, tuple, int]]:
 
 CONFIGS = _lab_configs()
 
-#: With ``fix`` off, the deadlocked ranks unwind at once after the abort,
-#: so their ``task.end`` and ``sched.done`` events land in OS order.
-_UNWIND_RACE = pytest.mark.xfail(
-    strict=False, reason="mpi.deadlock's abort unwind order is a thread race")
 
-
-def _param(cfg):
+def _label(cfg):
     name, toggles, np_ = cfg
-    label = f"{name}-np{np_}" + "".join(
+    return f"{name}-np{np_}" + "".join(
         f"-{t}={'on' if on else 'off'}" for t, on in toggles)
-    racy = name == "mpi.deadlock" and not dict(toggles)["fix"] and np_ in (4, 8)
-    return pytest.param(cfg, id=label, marks=_UNWIND_RACE if racy else ())
 
 
 def _stream(cell) -> list[tuple]:
@@ -74,13 +67,26 @@ def pooled_streams():
     return dict(zip(cells, streams))
 
 
-@pytest.mark.parametrize("cfg", [_param(cfg) for cfg in CONFIGS])
+@pytest.mark.parametrize("cfg", CONFIGS, ids=_label)
 def test_stream_is_the_same_in_and_across_processes(cfg, pooled_streams):
     for seed in SEEDS:
         first = _stream((cfg, seed))
         again = _stream((cfg, seed))
         assert first and again == first
         assert pooled_streams[(cfg, seed)] == first
+
+
+@pytest.mark.parametrize("np_", [4, 8])
+def test_a_deadlocked_world_unwinds_in_one_order(np_):
+    # After the abort the parked ranks unwind one at a time, in task
+    # order, so their task.end and sched.done events cannot land in OS
+    # order: twenty runs give one stream.
+    streams = set()
+    for _ in range(20):
+        run = run_patternlet("mpi.deadlock", tasks=np_, toggles={"fix": False},
+                             seed=0)
+        streams.add(tuple((e.task, e.kind, e.vtime) for e in run.trace.events()))
+    assert len(streams) == 1
 
 
 def _swap(comm):
