@@ -45,7 +45,6 @@ __all__ = [
     "map_calls",
     "run_specs",
     "shutdown_pool",
-    "submit_one",
 ]
 
 _POOL: ProcessPoolExecutor | None = None
@@ -130,47 +129,15 @@ def _merge_stats(into: "dict[str, int] | None", stats: dict[str, int]) -> None:
 def _entry(
     payload: tuple[Callable[..., Any], Any, str | None, bool]
 ) -> tuple[Any, dict[str, int]]:
-    # Runs on a worker: apply fn to one item, handing it this process's
-    # run cache when caching is on.  The cache's own hit/miss/store
-    # counters ride back with the result so the parent can aggregate
-    # them across workers.
+    # Runs on a pool worker or the serve daemon's lane: apply fn to one
+    # item, handing it this process's run cache when caching is on.  The
+    # cache's own hit/miss/store counters ride back with the result so
+    # the parent can aggregate them across workers.
     fn, item, cache_dir, use_cache = payload
     if not use_cache:
         return fn(item), dict(_ZERO_STATS)
     cache = RunCache(cache_dir)
     return fn(item, cache), cache.stats()
-
-
-def submit_one(
-    fn: Callable[..., Any],
-    item: Any,
-    *,
-    workers: int,
-    use_cache: bool = False,
-    cache_dir: str | None = None,
-) -> "Any | None":
-    """Submit one call to the persistent pool without blocking on it.
-
-    The serve daemon's entry point: unlike :func:`map_calls` (one
-    blocking barrier per batch) this hands back the
-    ``concurrent.futures.Future`` for a single item — resolving to the
-    same ``(result, cache_stats)`` pair :func:`_entry` returns — so an
-    event loop can await many independent submissions concurrently.
-    Returns ``None`` when pooling is unavailable (``workers <= 1`` or
-    the pool cannot be built/has collapsed); the caller then runs the
-    item on its own serial path, mirroring :func:`map_calls`' silent
-    degradation.
-    """
-    if workers <= 1:
-        return None
-    pool = _get_pool(workers)
-    if pool is None:
-        return None
-    try:
-        return pool.submit(_entry, (fn, item, cache_dir, use_cache))
-    except Exception:  # noqa: BLE001 - a broken pool degrades, never fails
-        shutdown_pool()
-        return None
 
 
 def _run_serial(

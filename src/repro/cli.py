@@ -233,13 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon.add_argument("--host", default="127.0.0.1")
     p_daemon.add_argument("--port", type=int, default=8097,
                           help="listen port (default 8097; 0 = ephemeral)")
-    p_daemon.add_argument("--workers", type=int, default=1, metavar="N",
-                          help="execution concurrency: 1 = one in-process "
-                               "lane (default), N>1 = N persistent worker "
-                               "processes")
     p_daemon.add_argument("--queue-limit", type=int, default=32, metavar="N",
-                          help="admitted-but-waiting executions beyond the "
-                               "worker count before 429 shedding (default 32)")
+                          help="admitted executions that may wait behind the "
+                               "running one before 429 shedding (default 32)")
     p_daemon.add_argument("--deadline-ms", type=_positive_float,
                           default=10_000.0,
                           help="max milliseconds an admitted execution may "
@@ -658,7 +654,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cfg = ServeConfig(
         host=args.host,
         port=args.port,
-        workers=max(1, args.workers),
         queue_limit=max(0, args.queue_limit),
         deadline_ms=args.deadline_ms,
         use_cache=not args.no_cache,
@@ -669,7 +664,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def announce(url: str) -> None:
         print(f"patternlet daemon serving at {url} "
-              f"(workers={cfg.workers}, cache={'on' if cfg.use_cache else 'off'}; "
+              f"(cache={'on' if cfg.use_cache else 'off'}; "
               "SIGTERM/Ctrl-C drains and exits)", file=sys.stderr)
 
     try:

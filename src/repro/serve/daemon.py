@@ -18,12 +18,15 @@ A deliberately small hand-rolled HTTP/1.1 layer on ``asyncio.start_server``
 - **Graceful shutdown**: :meth:`ServeDaemon.shutdown` stops the
   listener, flips the service to draining (new executions → 503,
   cached/coalesced serves still answered), waits for in-flight runs,
-  then force-closes lingering keep-alive sockets and unwinds both pools
-  — the batch worker processes and the parked rank threads — so a
-  stopped daemon leaves zero threads behind.
+  then force-closes lingering keep-alive sockets, releases the lane and
+  unwinds the parked rank threads, so a stopped daemon leaves zero
+  threads behind.
 
 Routes: ``POST /run``, ``POST /sweep``, ``GET /report/<key>``,
-``GET /metrics`` (strict OpenMetrics), ``GET /healthz``.
+``GET /metrics`` (strict OpenMetrics), ``GET /healthz``.  Each request
+is counted under its route in ``serve_requests{endpoint}`` and the
+``serve_request`` histogram; every unrouted path shares the one
+``endpoint="other"`` label, so clients cannot add label sets.
 
 :func:`running` hosts a daemon on a background thread for tests, the
 bench harness, and embedding; :func:`serve_forever` is the CLI's
@@ -66,6 +69,17 @@ _METRICS_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 #: both answer 400.
 _MAX_LINE = 8192
 _MAX_HEADERS = 100
+
+#: Paths labelled as themselves; ``/report/<key>`` is labelled
+#: ``/report`` and any other path ``other``.
+_ROUTES = frozenset({"/", "/run", "/sweep", "/metrics", "/healthz"})
+
+
+def _endpoint(path: str) -> str:
+    """The ``endpoint`` label of ``path``: its route, or ``other``."""
+    if path in _ROUTES:
+        return path
+    return "/report" if path.startswith("/report/") else "other"
 
 
 def _json_body(doc: Mapping[str, Any]) -> bytes:
@@ -169,8 +183,8 @@ class ServeDaemon:
 
         Order matters: stop accepting, *then* flip draining (so a racing
         accept still gets a well-formed 503), drain executions, cancel
-        the keep-alive readers, release the execution lane, and unwind
-        the process pool and the parked rank threads.
+        the keep-alive readers, release the lane and the reader thread,
+        and unwind the parked rank threads.
         """
         if self._server is None:
             return True
@@ -185,10 +199,6 @@ class ServeDaemon:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._conn_tasks.clear()
         self.service.close()
-        if self.cfg.workers > 1:
-            from repro.batch.pool import shutdown_pool
-
-            shutdown_pool()
         from repro.sched.pool import shutdown_pool as shutdown_rank_pool
 
         shutdown_rank_pool()
@@ -238,9 +248,8 @@ class ServeDaemon:
             close_after = connection == "close" or (
                 version == "HTTP/1.0" and connection != "keep-alive")
             t0 = time.monotonic()
-            endpoint = "/" + path.lstrip("/").split("/", 1)[0] if path != "/" else "/"
             status, payload, ctype, extra = await self._route(method, path, body)
-            self.service.observe(endpoint, status,
+            self.service.observe(_endpoint(path), status,
                                  (time.monotonic() - t0) * 1000.0)
             await self._respond(writer, status, payload, ctype=ctype,
                                 extra=extra, close=close_after)
@@ -291,8 +300,7 @@ class ServeDaemon:
                 specs = parse_sweep_request(doc, max_cells=self.cfg.max_cells)
                 status, payload = await self.service.serve_sweep(specs)
                 return status, payload, _JSON_TYPE, {}
-            if path in ("/run", "/sweep", "/metrics", "/healthz", "/") or \
-                    path.startswith("/report/"):
+            if _endpoint(path) != "other":
                 return (405, _json_body({"error": f"{method} not allowed "
                                          f"on {path}"}), _JSON_TYPE, {})
             return (404, _json_body({"error": f"no route {path!r}"}),
@@ -319,7 +327,7 @@ class ServeDaemon:
     def _decode_json(body: bytes) -> Any:
         try:
             return json.loads(body) if body else {}
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
             raise RequestError("request body is not valid JSON") from None
 
 

@@ -26,19 +26,18 @@ admission queue at all: memo, then in-flight table, then the
 content-addressed disk cache, and only then an execution slot.
 
 **Admission control.**  Executions (never cache/memo/coalesce serves)
-pass a bounded FIFO queue: an ``asyncio.Semaphore(workers)`` provides
-the concurrency bound and FIFO ordering, a high-water mark
-(``workers + queue_limit``) sheds excess load with 429 +
-``Retry-After``, and a per-request deadline bounds queue wait (503 on
-expiry).  Draining (graceful shutdown) rejects new executions with 503
-while letting attached and cached requests complete.
+pass a bounded FIFO queue: an ``asyncio.Semaphore(1)`` is the one
+running slot and keeps FIFO order, a high-water mark
+(``1 + queue_limit``) sheds excess load with 429 + ``Retry-After``, and
+a per-request deadline bounds queue wait (503 on expiry).  Draining
+(graceful shutdown) rejects new executions with 503 while letting
+attached and cached requests complete.
 
-Executions run off the event loop: on a single dedicated thread when
-``workers == 1`` (zero IPC — and safe, because the trace recorder stack
+Executions run off the event loop on one dedicated lane thread, through
+the batch layer's :func:`repro.batch.pool._entry` with the run cache
+``patternlet sweep`` uses.  One lane, because the trace recorder stack
 is process-ambient and must never see two concurrent runs in one
-process), or on the batch layer's persistent fork pool
-(:func:`repro.batch.pool.submit_one`) when ``workers > 1`` — the same
-warm worker processes and run cache ``patternlet sweep`` uses.
+process.
 """
 
 from __future__ import annotations
@@ -101,12 +100,8 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: Execution concurrency bound.  1 = a single in-process lane (the
-    #: lowest-latency path); >1 fans misses to that many persistent
-    #: worker processes via the batch pool.
-    workers: int = 1
-    #: Admitted-but-unstarted executions allowed beyond ``workers``;
-    #: past ``workers + queue_limit`` new executions are shed with 429.
+    #: Admitted executions allowed to wait behind the one running; past
+    #: ``1 + queue_limit`` new executions are shed with 429.
     queue_limit: int = 32
     #: Milliseconds an admitted execution may wait for a slot before the
     #: request is failed with 503 (deadline exceeded).
@@ -135,7 +130,7 @@ class ServeConfig:
 
     @property
     def high_water(self) -> int:
-        return max(1, self.workers) + max(0, self.queue_limit)
+        return 1 + max(0, self.queue_limit)
 
 
 def _require_int(doc: Mapping[str, Any], key: str, lo: int, hi: int,
@@ -307,8 +302,8 @@ class PatternletService:
 
     All mutable state — the single-flight table, the response memo, the
     metrics registry — is touched only from the event loop thread, so
-    none of it needs locks; executions happen on executor threads / pool
-    processes and only their *results* cross back onto the loop.  The
+    none of it needs locks; executions happen on the lane thread and
+    only their *results* cross back onto the loop.  The
     cache tier looks the key up with
     :meth:`~repro.batch.cache.RunCache.lookup`, the read a sweep makes,
     on a reader thread, so a slow disk never stalls a memo hit queued
@@ -328,9 +323,9 @@ class PatternletService:
         self.cfg = config
         self.started = time.time()
         self._inflight: dict[str, _Flight] = {}
-        self._sem = asyncio.Semaphore(max(1, config.workers))
+        self._sem = asyncio.Semaphore(1)
         self._pending = 0  # admitted executions not yet finished
-        self._queued = 0  # admitted, still waiting for a slot
+        self._queued = 0  # admitted, still waiting for the slot
         self._draining = False
         self._memo: OrderedDict[str, bytes] = OrderedDict()
         self._reports: OrderedDict[str, bytes] = OrderedDict()
@@ -338,9 +333,8 @@ class PatternletService:
 
         self._use_cache = config.use_cache and cache_enabled()
         self._cache = RunCache(config.cache_dir) if self._use_cache else None
-        # The serial execution lane (workers == 1) — also the fallback
-        # when the process pool cannot be built.  One thread, because
-        # the ambient trace stack allows one live run per process.
+        # The execution lane.  One thread, because the ambient trace
+        # stack allows one live run per process.
         self._lane = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="patternlet-serve-exec")
         # Cache-record reads: off the loop, and never queued behind an
@@ -442,8 +436,7 @@ class PatternletService:
         return status, {
             "status": "draining" if self._draining else "ok",
             "uptime_s": round(time.time() - self.started, 3),
-            "workers": self.cfg.workers,
-            "inflight": len(self._inflight),
+            "inflight": int(self.g_inflight.value()),
             "queue_depth": self._queued,
             "draining": self._draining,
         }
@@ -547,16 +540,16 @@ class PatternletService:
                     flight.future.set_exception(err)
                     flight.future.exception()  # consumed: not "unretrieved"
                 raise err
-            self._queued -= 1
-            self.g_queue.set(self._queued)
-            self.g_inflight.set(min(self._pending, self.cfg.workers))
+            finally:  # acquired, expired or cancelled: no longer waiting
+                self._queued -= 1
+                self.g_queue.set(self._queued)
+            self.g_inflight.set(1)
             try:
                 self.c_executions.inc()
                 outcome, _ = await self._dispatch(spec, key)
             finally:
                 self._sem.release()
-                self.g_inflight.set(
-                    max(0, min(self._pending - 1, self.cfg.workers)))
+                self.g_inflight.set(0)
             if outcome.error is not None:
                 body = self._error_body(outcome.error)
                 result = (500, body)
@@ -575,31 +568,18 @@ class PatternletService:
             raise
         finally:
             self._pending -= 1
-            if self._queued > self._pending:
-                self._queued = self._pending
-                self.g_queue.set(self._queued)
             self._inflight.pop(key, None)
 
     async def _dispatch(
         self, spec: RunSpec, key: str
     ) -> tuple[RunOutcome, dict[str, int]]:
-        """Run one missed spec on the execution backend; returns (outcome, stats).
+        """Run one missed spec on the lane; returns (outcome, stats).
 
-        The backend runs the spec and stores its record without looking
+        The lane runs the spec and stores its record without looking
         ``key`` up again: :meth:`serve_run` already missed it.
         """
-        from repro.batch.pool import _entry, _exec_spec, submit_one
+        from repro.batch.pool import _entry, _exec_spec
 
-        if self.cfg.workers > 1:
-            fut = submit_one(_exec_spec, (spec, key),
-                             workers=self.cfg.workers,
-                             use_cache=self._use_cache,
-                             cache_dir=self.cfg.cache_dir)
-            if fut is not None:
-                try:
-                    return await asyncio.wrap_future(fut)
-                except Exception:  # noqa: BLE001 — pool collapse: lane fallback
-                    pass
         payload = (_exec_spec, (spec, key), self.cfg.cache_dir, self._use_cache)
         return await asyncio.get_running_loop().run_in_executor(
             self._lane, _entry, payload)

@@ -8,10 +8,14 @@ import json
 import threading
 import time
 
+import pytest
+
 from repro.obs import parse_openmetrics
 from repro.serve import ServeConfig, running
 
 RUN = {"patternlet": "mpi.reduction", "np": 4}
+#: The ``endpoint`` labels of the daemon's routes.
+ROUTES = {"/", "/run", "/sweep", "/report", "/metrics", "/healthz"}
 
 
 def _request(port, method, path, body=None, conn=None):
@@ -45,6 +49,20 @@ def _slow_dispatch(daemon, delay):
         return out, {"hits": 0, "misses": 1}
 
     daemon.service._dispatch = dispatch
+
+
+def _scrape(port):
+    """One strict ``/metrics`` scrape, parsed."""
+    status, _, raw = _request(port, "GET", "/metrics")
+    assert status == 200
+    return parse_openmetrics(raw.decode())
+
+
+def _gauges(port):
+    """The admission gauges of one scrape, by short name."""
+    doc = _scrape(port)
+    return {name: doc[f"patternlet_{name}"]["samples"][0]["value"]
+            for name in ("serve_queue_depth", "serve_inflight")}
 
 
 class TestRoutes:
@@ -152,6 +170,45 @@ class TestRoutes:
             conn.request("POST", "/run", body=b"{not json")
             assert conn.getresponse().status == 400
             conn.close()
+
+    @pytest.mark.parametrize("route, body", [
+        ("/run", b"[" * 200_000 + b"]" * 200_000),
+        ("/sweep", b'{"patternlets": ["mpi.reduction"], "toggles": '
+         + b"[" * 200_000 + b"]" * 200_000 + b"}"),
+    ], ids=["run", "sweep"])
+    def test_json_nested_past_the_parser_limit_is_a_400(self, tmp_path,
+                                                         route, body):
+        # The parser raises RecursionError, not ValueError, on a body
+        # nested this deep; it is invalid JSON all the same.
+        with running(cache_dir=str(tmp_path)) as daemon:
+            conn = http.client.HTTPConnection("127.0.0.1", daemon.port,
+                                              timeout=30)
+            conn.request("POST", route, body=body)
+            resp = conn.getresponse()
+            doc = json.loads(resp.read())
+            conn.close()
+            requests = daemon.service.c_requests
+            assert resp.status == 400
+            assert doc["error"] == "request body is not valid JSON"
+            assert requests.value({"endpoint": route, "status": "400"}) == 1.0
+            assert requests.value({"endpoint": route, "status": "500"}) == 0.0
+
+    def test_unrouted_paths_share_one_endpoint_label(self, tmp_path):
+        # Every path a client invents would otherwise add a label set
+        # that lives as long as the daemon.
+        paths = [f"/nope-{i}/{'x' * 256}" for i in range(40)]
+        paths += ["/report", "/run/extra", "/run?x=1", "/healthz/", "//"]
+        with running(cache_dir=str(tmp_path)) as daemon:
+            for path in paths:
+                assert _request(daemon.port, "GET", path)[0] == 404
+            doc = _scrape(daemon.port)
+        for family in ("patternlet_serve_requests", "patternlet_serve_request"):
+            endpoints = {sample["labels"]["endpoint"]
+                         for sample in doc[family]["samples"]}
+            assert endpoints - ROUTES == {"other"}, family
+        other_404 = [s["value"] for s in doc["patternlet_serve_requests"]["samples"]
+                     if s["labels"] == {"endpoint": "other", "status": "404"}]
+        assert other_404 == [float(len(paths))]
 
 
 class TestKeepAlive:
@@ -274,7 +331,7 @@ class TestReportKeys:
 
 class TestAdmission:
     def test_high_water_sheds_with_429_and_retry_after(self, tmp_path):
-        cfg = ServeConfig(cache_dir=str(tmp_path), workers=1, queue_limit=0)
+        cfg = ServeConfig(cache_dir=str(tmp_path), queue_limit=0)
         with running(cfg) as daemon:
             _slow_dispatch(daemon, 0.6)
             port = daemon.port
@@ -297,10 +354,10 @@ class TestAdmission:
             assert daemon.service.c_shed.total() == 1.0
 
     def test_queue_deadline_expires_with_503(self, tmp_path):
-        cfg = ServeConfig(cache_dir=str(tmp_path), workers=1,
+        cfg = ServeConfig(cache_dir=str(tmp_path),
                           queue_limit=4, deadline_ms=100)
         with running(cfg) as daemon:
-            _slow_dispatch(daemon, 0.8)
+            _slow_dispatch(daemon, 1.5)
             port = daemon.port
             first = threading.Thread(
                 target=_request, args=(port, "POST", "/run", RUN))
@@ -308,10 +365,35 @@ class TestAdmission:
             time.sleep(0.2)
             status, _, doc = _request(port, "POST", "/run",
                                       dict(RUN, seed=1))
+            # The expired request has left the queue; the first still runs.
+            health = _request(port, "GET", "/healthz")[2]
+            gauges = _gauges(port)
             first.join()
             assert status == 503
             assert "no execution slot" in doc["error"]
             assert daemon.service.c_deadline.total() == 1.0
+            assert (health["queue_depth"], health["inflight"]) == (0, 1)
+            assert (gauges["serve_queue_depth"], gauges["serve_inflight"]) == (0, 1)
+
+    def test_healthz_and_metrics_agree_on_admission(self, tmp_path):
+        # Three distinct misses: one runs on the lane, two wait for it.
+        with running(cache_dir=str(tmp_path)) as daemon:
+            _slow_dispatch(daemon, 1.5)
+            port = daemon.port
+            clients = [threading.Thread(
+                target=_request, args=(port, "POST", "/run", dict(RUN, seed=s)))
+                for s in range(3)]
+            for client in clients:
+                client.start()
+            time.sleep(0.3)
+            health = _request(port, "GET", "/healthz")[2]
+            gauges = _gauges(port)
+            for client in clients:
+                client.join(timeout=30)
+                assert not client.is_alive()
+        assert (health["inflight"], health["queue_depth"]) == (1, 2)
+        assert (gauges["serve_inflight"], gauges["serve_queue_depth"]) == (1, 2)
+        assert "workers" not in health
 
     def test_draining_rejects_new_executions(self, tmp_path):
         with running(cache_dir=str(tmp_path)) as daemon:
@@ -328,6 +410,53 @@ class TestAdmission:
             status, headers, _ = _request(port, "POST", "/run", RUN)
             assert status == 200
             assert headers["x-patternlet-served"] == "memo"
+
+
+class TestLeaderDeath:
+    def test_a_failed_leader_fails_its_flight_and_frees_the_slot(self, tmp_path):
+        # The leader's lane call raises once, after its followers attached.
+        with running(cache_dir=str(tmp_path)) as daemon:
+            service = daemon.service
+            real_dispatch = service._dispatch
+            calls = []
+
+            async def dies_once(spec, key):
+                calls.append(key)
+                if len(calls) == 1:
+                    await asyncio.sleep(0.8)
+                    raise RuntimeError("lane call failed")
+                return await real_dispatch(spec, key)
+
+            service._dispatch = dies_once
+            port = daemon.port
+            replies = []
+
+            def post():
+                replies.append(_request(port, "POST", "/run", RUN))
+
+            leader = threading.Thread(target=post)
+            leader.start()
+            time.sleep(0.2)  # the leader is on the lane
+            followers = [threading.Thread(target=post) for _ in range(4)]
+            for client in followers:
+                client.start()
+            for client in (leader, *followers):
+                client.join(timeout=30)
+                assert not client.is_alive()
+            assert [status for status, _, _ in replies] == [500] * 5
+            assert all(doc == {"error": "RuntimeError: lane call failed"}
+                       for _, _, doc in replies)
+            assert service.c_coalesce.total() == 4.0
+            failed = [s["value"] for s in _scrape(port)
+                      ["patternlet_serve_requests"]["samples"]
+                      if s["labels"] == {"endpoint": "/run", "status": "500"}]
+            assert failed == [5.0]
+            assert service._inflight == {} and not service._sem.locked()
+            health = _request(port, "GET", "/healthz")[2]
+            assert (health["inflight"], health["queue_depth"]) == (0, 0)
+            status, headers, doc = _request(port, "POST", "/run", RUN)
+            assert status == 200 and headers["x-patternlet-served"] == "execute"
+            assert len(calls) == 2 and doc["races"] == 0
 
 
 def _thread_count_settles(target, *, timeout=10.0):

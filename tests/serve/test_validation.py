@@ -161,6 +161,11 @@ class TestConfigBounds:
             ServeConfig(drain_timeout_s=-1.0)
         assert ServeConfig(drain_timeout_s=0.0).drain_timeout_s == 0.0
 
+    def test_there_is_no_workers_field(self):
+        # The daemon has one execution lane; nothing selects a pool.
+        with pytest.raises(TypeError, match="workers"):
+            ServeConfig(workers=2)
+
     def test_embedders_get_the_same_check(self):
         with pytest.raises(ValueError, match="deadline_ms"):
             with running(deadline_ms=0):

@@ -397,11 +397,17 @@ class TestSelfcheckSummaryLine:
 class TestServeCli:
     def test_serve_flags_parse(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "9000", "--workers", "2",
+            ["serve", "--port", "9000",
              "--queue-limit", "8", "--deadline-ms", "500", "--no-cache"]
         )
-        assert args.port == 9000 and args.workers == 2
+        assert args.port == 9000
         assert args.queue_limit == 8 and args.no_cache is True
+
+    def test_there_is_no_workers_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--port", "0", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_bind_conflict_is_an_error(self, capsys):
         import socket
