@@ -11,8 +11,8 @@ side that runs first alternates from pair to pair, and pair *i* runs
 perfbench at seed *i* on both sides.  Each side of a pair runs
 
 - ``patternlet bench --quick --out`` (the engine microbenches), and
-- ``perfbench/run.py`` ``grade-warm`` and ``lab-serve`` at ``--trace 0``
-  for :data:`SECONDS` measured seconds each.
+- ``perfbench/run.py`` ``grade-cold``, ``grade-warm`` and ``lab-serve``
+  at ``--trace 0`` for :data:`SECONDS` measured seconds each.
 
 This tree's ``perfbench/`` and ``BENCHMARK.json`` are first copied into
 the base tree, so both sides run identical benchmark code.
@@ -52,18 +52,20 @@ PAIRS = 6
 SECONDS = 5
 #: Longest any one benchmark command may take before the gate fails.
 TIMEOUT_S = 900
-WORKLOADS = ("grade-warm", "lab-serve")
+WORKLOADS = ("grade-cold", "grade-warm", "lab-serve")
 #: Per-pair raw results, written to the working directory.
 PAIRS_FILE = "ab-gate-pairs.json"
 
 #: The perfbench metrics this gate holds, each with the ``patternlet
 #: bench`` gate it replaced (which timed the same path with its own
-#: client swarm or batch grid).
+#: client swarm or batch grid), or ``None`` where no bench gate timed
+#: the path: grade-cold's execute path (runs, transport, recording).
 PERFBENCH_GATES = {
     ("lab-serve", "ops_per_s"): "served_runs_s",
     ("lab-serve", "p50_ms"): "serve_p50_ms",
     ("lab-serve", "p99_ms"): "serve_p99_ms",
     ("grade-warm", "ops_per_s"): "batch_throughput_runs_s",
+    ("grade-cold", "ops_per_s"): None,
 }
 #: Largest engine-gate regression ``compare`` lets through.
 ENGINE_BOUND = 0.30
@@ -100,9 +102,10 @@ def measure(tree: Path, seed: int, out: Path) -> dict:
     return side
 
 
-def perfbench_gates(bench_doc: dict) -> list[tuple[str, str, str, str, float]]:
-    """``(workload, metric, retired gate, better, bound)`` per perfbench
-    gate, with direction and bound read from ``BENCHMARK.json``."""
+def perfbench_gates(
+        bench_doc: dict) -> list[tuple[str, str, str | None, str, float]]:
+    """``(workload, metric, retired gate or None, better, bound)`` per
+    perfbench gate, with direction and bound read from ``BENCHMARK.json``."""
     specs = {m["name"]: m for m in bench_doc["end_to_end"]}
     return [(workload, metric, retired, specs[metric]["better"],
              specs[metric]["bound"])
@@ -149,7 +152,8 @@ def verdict(head: list[dict], base: list[dict],
     for workload, metric, retired, better, bound in perfbench_gates(bench_doc):
         h = _median(r[workload]["metrics"][metric]["value"] for r in head)
         b = _median(r[workload]["metrics"][metric]["value"] for r in base)
-        name = f"{workload} {metric} (was {retired})"
+        name = f"{workload} {metric}" + (f" (was {retired})" if retired
+                                         else "")
         worse = (h < b * (1 - bound)) if better == "higher" else \
             (h > b * (1 + bound))
         if worse:
@@ -190,13 +194,16 @@ def _table(rows: list[tuple]) -> list[str]:
              f"{'head/base':>9}  limit"]
     worst: tuple[float, str] | None = None
     for name, b, h, better, bound, ok in rows:
-        ratio = h / b if b else float("nan")
-        line = f"{name:<{width}}  {_fmt(b):>12}  {_fmt(h):>12}  {ratio:>9.3f}"
+        ratio = h / b if b and h is not None else None
+        shown = "-" if ratio is None else f"{ratio:.3f}"
+        line = f"{name:<{width}}  {_fmt(b):>12}  {_fmt(h):>12}  {shown:>9}"
         if bound is not None:
             limit = _limit(better, bound)
             sign = ">=" if better == "higher" else "<="
-            line += f"  {sign}{limit:.2f}  {'ok' if ok else 'FAIL'}"
-            if b and h:
+            # compare() skips a gate that one side does not measure.
+            state = "FAIL" if not ok else "skipped" if ratio is None else "ok"
+            line += f"  {sign}{limit:.2f}  {state}"
+            if ratio:
                 room = ratio / limit if better == "higher" else limit / ratio
                 if worst is None or room < worst[0]:
                     worst = (room, f"{name} at {ratio:.3f} (limit {limit:.2f})")

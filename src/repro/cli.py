@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon.add_argument("--host", default="127.0.0.1")
     p_daemon.add_argument("--port", type=int, default=8097,
                           help="listen port (default 8097; 0 = ephemeral)")
-    p_daemon.add_argument("--queue-limit", type=int, default=32, metavar="N",
+    p_daemon.add_argument("--queue-limit", type=_nonnegative_int, default=32,
+                          metavar="N",
                           help="admitted executions that may wait behind the "
                                "running one before 429 shedding (default 32)")
     p_daemon.add_argument("--deadline-ms", type=_positive_float,
@@ -247,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon.add_argument("--cache-dir", default=None, metavar="DIR",
                           help="run-cache root (default: REPRO_CACHE_DIR or "
                                "~/.cache/repro-runs)")
-    p_daemon.add_argument("--max-cells", type=int, default=256, metavar="N",
+    p_daemon.add_argument("--max-cells", type=_positive_int, default=256,
+                          metavar="N",
                           help="largest grid one POST /sweep may expand to "
                                "(default 256)")
     p_daemon.add_argument("--drain-timeout", type=_nonnegative_float,
@@ -275,6 +277,20 @@ def _positive_float(text: str) -> float:
 def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
@@ -654,11 +670,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cfg = ServeConfig(
         host=args.host,
         port=args.port,
-        queue_limit=max(0, args.queue_limit),
+        queue_limit=args.queue_limit,
         deadline_ms=args.deadline_ms,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        max_cells=max(1, args.max_cells),
+        max_cells=args.max_cells,
         drain_timeout_s=args.drain_timeout,
     )
 

@@ -482,6 +482,17 @@ class Comm:
         world = self._world
         grp = world.group
         if grp is not None and self._lockstep:
+            # A match already queued needs no wait: ``wait_until`` on a
+            # true predicate emits nothing and only checks for an aborted
+            # world, so an aborted one takes the full wait below, which
+            # unwinds the caller.
+            if (
+                self._executor._aborted is None
+                and mbox._match(self._ctx, source, tag) is not None
+            ):
+                if grp.failed:
+                    self._check_world()  # raises with the full diagnostic
+                return
             # The common case inside a lockstep world: the predicate is
             # re-evaluated on every scheduler wakeup, so it probes the
             # mailbox index directly (no lock exists on a lockstep

@@ -1,6 +1,6 @@
 """Engine microbenchmarks and same-host report comparison.
 
-Five metric families, each timing one engine path that no perfbench
+Six metric families, each timing one engine path that no perfbench
 workload isolates (the serve and batch paths are timed end to end by
 ``perfbench/``'s ``lab-serve``, ``grade-warm`` and ``grade-cold``):
 
@@ -44,9 +44,16 @@ workload isolates (the serve and batch paths are timed end to end by
     once each at np=64), and for one figure self-check pass (every check
     runs live).  Reported, not gated.
 
-All engine benchmarks run under ``muted()`` so they measure the engine,
-not the trace recorder; the trace fast path is itself covered because
-muting is exactly the one-attribute-read guard the emit sites take.
+``trace_emit_rate``
+    Events per second recorded by the module-level ``emit`` of a
+    ``mem.read`` from a labelled task into an installed recorder: the
+    emission every cold run pays about 145 times a cell, since each run
+    records its full stream.  Gated.
+
+Every other engine benchmark runs under ``muted()``, so it measures the
+engine, not the trace recorder; the untraced fast path is itself covered
+because muting is exactly the one-attribute-read guard the emit sites
+take.  ``trace_emit_rate`` is the one that records.
 
 Comparison policy: wall-clock numbers only compare on the machine that
 took them, so a baseline is a report from ``bench --out`` on the same
@@ -70,7 +77,7 @@ import platform
 import time
 from typing import Any, Callable, Mapping
 
-from repro.trace import muted
+from repro.trace import emit, muted, using_recorder
 
 __all__ = [
     "HIGHER_IS_BETTER",
@@ -84,6 +91,7 @@ __all__ = [
     "bench_run_setup",
     "bench_selfcheck",
     "bench_switch_rate",
+    "bench_trace_emit",
     "compare",
     "format_table",
     "load_report",
@@ -101,6 +109,7 @@ HIGHER_IS_BETTER = (
     "msg_throughput_flat",
     "msg_throughput_pickle",
     "switch_rate_np64",
+    "trace_emit_rate",
 )
 
 #: Latency metrics where smaller numbers are better; these fail a check
@@ -161,6 +170,31 @@ def bench_switch_rate(*, tasks: int = 4, k: int = 20000) -> float:
         ex.run_tasks([body] * tasks, [f"t{i}" for i in range(tasks)])
         dt = time.perf_counter() - t0
     return ex.step_count / dt
+
+
+def bench_trace_emit(*, runs: int = 200) -> float:
+    """Events/second recorded by module-level ``emit`` from a labelled task.
+
+    Not muted: this is the recording itself.  Each call emits the
+    ``mem.read`` a shared-cell access emits, takes its task from the
+    thread's label (``omp:0``, restored afterwards) and appends to the
+    installed recorder, so the rate covers the label read, the event
+    build and the locked append.  Each of ``runs`` fresh recorders
+    takes 250 events, about one lab-grid run's stream (145 on average),
+    so the garbage collector sees the live set a run has rather than
+    one stream of every event, which read up to 30% slower.
+    """
+    from repro.sched.base import task_label_scope
+
+    per_run = 250
+    with task_label_scope("omp:0"):
+        t0 = time.perf_counter()
+        for _ in range(runs):
+            with using_recorder():
+                for _ in range(per_run):
+                    emit("mem.read", cell="cell0")
+        dt = time.perf_counter() - t0
+    return runs * per_run / dt
 
 
 def bench_run_setup(*, np: int = 4, runs: int = 100) -> float:
@@ -350,6 +384,9 @@ def run_benchmarks(
     # 64 x 4,000 and take a second instead of ten.
     out["switch_rate_np64"] = best_of_3(
         lambda: bench_switch_rate(tasks=64, k=400 if quick else 20000))
+    note("trace emission rate (mem.read, un-muted)")
+    out["trace_emit_rate"] = best_of_3(
+        lambda: bench_trace_emit(runs=200 // scale))
     note("np=1024 spmd world wall clock")
     out["np1024_spmd_wall_s"] = round(
         bench_np1024_spmd(repeats=1 if quick else 3), 4

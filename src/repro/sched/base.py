@@ -35,12 +35,15 @@ executors.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.errors import ParallelError, TaskFailedError
+
+# The task-label thread-local belongs to the trace layer, which reads it
+# on every emission; the executors set it through these re-exports.
+from repro.trace.events import current_task_label, set_task_label
 
 __all__ = [
     "Executor",
@@ -62,29 +65,6 @@ def resolve_describe(describe: "str | Callable[[], str]") -> str:
     the rare path that actually reports it (deadlock, watchdog timeout).
     """
     return describe() if callable(describe) else describe
-
-# Thread-local identity used for output attribution (see repro.core.capture)
-# and for the lockstep executor to recognise its own managed tasks.
-_tls = threading.local()
-
-
-def current_task_label() -> str | None:
-    """The label of the task running on the current thread, or ``None``.
-
-    Labels look like ``"omp:3"`` (SMP thread 3) or ``"mpi:2"`` (rank 2);
-    nested contexts may refine them (``"mpi:1/omp:0"``).
-    """
-    return getattr(_tls, "label", None)
-
-
-def set_task_label(label: str | None) -> None:
-    """Set (or clear, with ``None``) the current thread's task label.
-
-    This is the one engine thread-local that could outlive a task body;
-    the rank pool (:mod:`repro.sched.pool`) clears it between leases so
-    a reused worker thread is indistinguishable from a fresh one.
-    """
-    _tls.label = label
 
 
 class task_label_scope:

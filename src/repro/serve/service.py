@@ -127,10 +127,16 @@ class ServeConfig:
         if not self.drain_timeout_s >= 0:
             raise ValueError(
                 f"drain_timeout_s must be >= 0, got {self.drain_timeout_s}")
+        # A negative queue would shed every execution, and a cap below
+        # one cell would answer every /sweep 413.
+        if self.queue_limit < 0:
+            raise ValueError(f"queue_limit must be >= 0, got {self.queue_limit}")
+        if self.max_cells < 1:
+            raise ValueError(f"max_cells must be >= 1, got {self.max_cells}")
 
     @property
     def high_water(self) -> int:
-        return 1 + max(0, self.queue_limit)
+        return 1 + self.queue_limit
 
 
 def _require_int(doc: Mapping[str, Any], key: str, lo: int, hi: int,

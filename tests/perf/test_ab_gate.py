@@ -22,6 +22,7 @@ ENGINE = {
     "msg_throughput_flat": 70000.0,
     "msg_throughput_pickle": 50000.0,
     "switch_rate_np64": 75000.0,
+    "trace_emit_rate": 400000.0,
     "bcast_ms_p32": 3.8,
     "allreduce_ms_p64": 12.0,
     "run_setup_ms": 0.9,
@@ -37,6 +38,7 @@ def _result(ops, p50, p99):
 
 def _side(pairs=ab_gate.PAIRS):
     return [{"engine": dict(ENGINE),
+             "grade-cold": _result(440.0, 800.0, 850.0),
              "grade-warm": _result(1400.0, 245.0, 280.0),
              "lab-serve": _result(1500.0, 0.63, 14.5)}
             for _ in range(pairs)]
@@ -50,7 +52,8 @@ class TestVerdict:
     def test_identical_sides_pass(self):
         lines, failures = _verdict(_side(), _side())
         assert failures == []
-        assert sum(line.endswith("  ok") for line in lines) == 10
+        # 7 engine gates and 5 perfbench gates.
+        assert sum(line.endswith("  ok") for line in lines) == 12
         assert "FAIL" not in "\n".join(lines)
 
     def test_switch_rate_drop_of_40_percent_fails(self):
@@ -82,6 +85,33 @@ class TestVerdict:
         _, failures = _verdict(head, _side())
         assert [f.split(":")[0] for f in failures] == [
             "grade-warm ops_per_s (was batch_throughput_runs_s)"]
+
+    @pytest.mark.parametrize("drop", [0.7, 0.0])
+    def test_grade_cold_throughput_drop_fails(self, drop):
+        head = _side()
+        for run in head:
+            run["grade-cold"]["metrics"]["ops_per_s"]["value"] *= drop
+        lines, failures = _verdict(head, _side())
+        assert [f.split(":")[0] for f in failures] == ["grade-cold ops_per_s"]
+        row = next(line for line in lines if line.startswith("grade-cold"))
+        assert row.endswith("  FAIL")
+
+    def test_trace_emit_rate_drop_fails(self):
+        head = _side()
+        for run in head:
+            run["engine"]["trace_emit_rate"] *= 0.6
+        _, failures = _verdict(head, _side())
+        assert len(failures) == 1 and failures[0].startswith("trace_emit_rate:")
+
+    def test_an_engine_gate_new_to_this_tree_shows_no_base(self):
+        base = _side()
+        for run in base:
+            del run["engine"]["trace_emit_rate"]
+        lines, failures = _verdict(_side(), base)
+        assert failures == []
+        row = next(line for line in lines if line.startswith("trace_emit_rate"))
+        assert row.split()[1:4:2] == ["-", "-"]  # base, head/base
+        assert row.endswith("  skipped")
 
     @pytest.mark.parametrize("side", ["head", "base"])
     def test_an_incorrect_perfbench_run_fails(self, side):
@@ -146,12 +176,15 @@ class TestRetiredGates:
         "batch_throughput_runs_s": ("higher", 0.30),
     }
 
+    #: Gates on a path no ``patternlet bench`` gate timed.
+    NEW = {("grade-cold", "ops_per_s")}
+
     def test_each_retired_gate_maps_to_an_ab_gated_metric(self):
         specs = {m["name"]: m for m in BENCH_DOC["end_to_end"]}
         workloads = {w["name"] for w in BENCH_DOC["workloads"]}
         gates = {retired: (workload, metric, better, bound)
                  for workload, metric, retired, better, bound
-                 in ab_gate.perfbench_gates(BENCH_DOC)}
+                 in ab_gate.perfbench_gates(BENCH_DOC) if retired is not None}
         assert set(gates) == set(self.RETIRED)
         for retired, (workload, metric, better, bound) in gates.items():
             assert workload in workloads and workload in ab_gate.WORKLOADS
@@ -162,6 +195,17 @@ class TestRetiredGates:
             old_better, old_tolerance = self.RETIRED[retired]
             assert better == old_better
             assert bound <= old_tolerance
+
+    def test_every_other_gate_is_new_and_reads_its_bound(self):
+        specs = {m["name"]: m for m in BENCH_DOC["end_to_end"]}
+        new = [(workload, metric, better, bound)
+               for workload, metric, retired, better, bound
+               in ab_gate.perfbench_gates(BENCH_DOC) if retired is None]
+        assert {(w, m) for w, m, _, _ in new} == self.NEW
+        for workload, metric, better, bound in new:
+            assert workload in ab_gate.WORKLOADS
+            assert (better, bound) == (specs[metric]["better"],
+                                       specs[metric]["bound"])
 
     def test_the_bound_is_read_not_hardcoded(self):
         doc = copy.deepcopy(BENCH_DOC)

@@ -65,6 +65,7 @@ class TestComparePolicy:
             "msg_throughput_flat",
             "msg_throughput_pickle",
             "switch_rate_np64",
+            "trace_emit_rate",
         }
         assert set(bench.LOWER_IS_BETTER) == {
             "bcast_ms_p32",
@@ -158,6 +159,14 @@ class TestMetricFunctions:
 
     def test_switch_rate_is_positive(self):
         assert bench_switch_rate(tasks=2, k=50) > 0
+
+    def test_trace_emit_rate_leaves_no_recorder_or_label(self):
+        from repro.sched.base import current_task_label
+        from repro.trace import current_recorder
+
+        assert bench.bench_trace_emit(runs=1) > 0
+        assert current_recorder() is None
+        assert current_task_label() is None
 
     def test_selfcheck_reports_one_live_wall(self):
         walls = bench.bench_selfcheck(rounds=1)

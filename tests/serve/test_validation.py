@@ -161,6 +161,19 @@ class TestConfigBounds:
             ServeConfig(drain_timeout_s=-1.0)
         assert ServeConfig(drain_timeout_s=0.0).drain_timeout_s == 0.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("queue_limit", -1), ("queue_limit", -5),
+        ("max_cells", 0), ("max_cells", -3)])
+    def test_limits_below_their_floor_are_refused(self, field, value):
+        # Both used to be accepted: a negative queue was clamped to 0, and
+        # max_cells=-3 answered every /sweep 413 "exceeds the -3-cell cap".
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: value})
+
+    def test_the_floors_themselves_are_accepted(self):
+        cfg = ServeConfig(queue_limit=0, max_cells=1)
+        assert (cfg.high_water, cfg.max_cells) == (1, 1)
+
     def test_there_is_no_workers_field(self):
         # The daemon has one execution lane; nothing selects a pool.
         with pytest.raises(TypeError, match="workers"):

@@ -403,6 +403,21 @@ class TestServeCli:
         assert args.port == 9000
         assert args.queue_limit == 8 and args.no_cache is True
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--queue-limit", "-1"), ("--queue-limit", "-5"),
+        ("--max-cells", "0"), ("--max-cells", "-3")])
+    def test_limits_below_their_floor_exit_2(self, flag, value, capsys):
+        # Like --deadline-ms 0; these used to be clamped to 0 and 1.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_limit_floors_parse(self):
+        args = build_parser().parse_args(
+            ["serve", "--queue-limit", "0", "--max-cells", "1"])
+        assert (args.queue_limit, args.max_cells) == (0, 1)
+
     def test_there_is_no_workers_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["serve", "--port", "0", "--workers", "2"])

@@ -1,9 +1,13 @@
-"""The event spine: recorder, ambient stack, muting."""
+"""The event spine: recorder, ambient stack, muting, emission contract."""
 
+import builtins
+import dataclasses
+import pickle
 import threading
 
 import pytest
 
+from repro.sched.base import set_task_label
 from repro.trace import (
     TraceRecorder,
     active,
@@ -138,3 +142,102 @@ class TestMuted:
         with muted():
             rec.emit("io.print", task="main", line="still captured")
         assert len(rec) == 1
+
+
+class TestEmissionContract:
+    def _event(self):
+        rec = TraceRecorder()
+        return rec.emit("msg.send", task="mpi:0", vtime=2.5,
+                        hb_rel=("msg", "w#1", 3), uid=3, scope="w#1")
+
+    @pytest.mark.parametrize("field", ["seq", "task", "kind", "vtime",
+                                       "hb_acq", "hb_rel", "payload"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        ev = self._event()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ev, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ev, field)
+        assert ev == self._event()
+
+    def test_equality_is_by_all_seven_fields(self):
+        ev = self._event()
+        assert ev == self._event()
+        rec = TraceRecorder()
+        rec.emit("other")
+        other = rec.emit("msg.send", task="mpi:0", vtime=2.5,
+                         hb_rel=("msg", "w#1", 3), uid=3, scope="w#1")
+        assert other.seq == 1 and other != ev
+        assert ev != (0, "mpi:0", "msg.send")
+
+    def test_an_event_pickles_equal(self):
+        ev = self._event()
+        back = pickle.loads(pickle.dumps(ev))
+        assert back == ev and back is not ev
+        assert (back.seq, back.task, back.kind, back.vtime, back.hb_acq,
+                back.hb_rel, back.payload) == (0, "mpi:0", "msg.send", 2.5,
+                                               None, ("msg", "w#1", 3),
+                                               {"uid": 3, "scope": "w#1"})
+        assert back.scope == "w#1" and repr(back) == repr(ev)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.seq = 1
+
+    def test_a_recorder_pickles_equal(self):
+        rec = TraceRecorder(limit=3)
+        for i in range(4):
+            rec.emit("k", task=f"t{i}", vtime=float(i), n=i)
+        rec.next_id("cell")
+        back = pickle.loads(pickle.dumps(rec))
+        assert back.events() == rec.events()
+        assert (back.limit, back.dropped, back.next_id("cell")) == (3, 1, 1)
+        # The copy records on its own, from where the original stopped.
+        back.limit = 5
+        assert back.emit("k", task="t").seq == 3
+        assert len(rec) == 3
+
+    def test_module_emit_records_the_thread_label(self):
+        seen = {}
+
+        def body(label):
+            if label is not None:
+                set_task_label(label)
+            seen[label] = emit("mem.read", cell="x").task
+
+        with using_recorder():
+            threads = [threading.Thread(target=body, args=(label,))
+                       for label in ("omp:1", "mpi:2/omp:0", None)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        assert seen == {"omp:1": "omp:1", "mpi:2/omp:0": "mpi:2/omp:0",
+                        None: "main"}
+
+    def test_an_emission_imports_nothing(self, monkeypatch):
+        calls = []
+        real = builtins.__import__
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        recorded = []
+
+        def body():
+            set_task_label("omp:0")
+            with using_recorder() as rec:
+                monkeypatch.setattr(builtins, "__import__", counting)
+                try:
+                    for _ in range(1000):
+                        emit("mem.read", cell="x")
+                finally:
+                    monkeypatch.undo()
+            recorded.append(len(rec))
+
+        t = threading.Thread(target=body)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert recorded == [1000]
+        assert calls == []
